@@ -7,7 +7,13 @@ the slow state X by dt:
   construction (the iteration applies it N*K times);
 * forward-euler micro: dt/substep explicit Euler substeps of the full
   right-hand side; blow-up raises NonFiniteStateError instead of silently
-  propagating NaN;
+  propagating NaN. A nonlinear system is stepped on a tuple of Python
+  floats: the same IEEE-754 double arithmetic as numpy's elementwise
+  operations, without numpy's per-call cost, which dominates on small
+  states. The endpoints are bitwise those of the array recurrence
+  u + h * micro_rhs(u). A linear system keeps the array loop: its rhs is a
+  BLAS matrix-vector product, which a Python-float sum does not reproduce
+  bitwise;
 * exact-linear macro: X -> exp(lam dt) X, with exp(lam dt) > 0 cached;
 * forward-euler macro: a single explicit Euler step of the slow model;
 * rk4 macro: classical Runge-Kutta 4 substeps of the slow model, at most
@@ -51,6 +57,23 @@ def _call_with_eps(f, epsilon: float, u: np.ndarray) -> np.ndarray:
     return f(u, epsilon)
 
 
+def _euler_array_substeps(rhs, h: float, n_sub: int, u: np.ndarray) -> np.ndarray:
+    for _ in range(n_sub):
+        u = u + h * rhs(u)
+    return u
+
+
+def _euler_float_substeps(rhs, h: float, n_sub: int, u: np.ndarray) -> np.ndarray:
+    # Same operations in the same order as the array loop, on Python floats:
+    # float overflow gives inf (not an exception), which the endpoint check
+    # catches.
+    v = tuple(u.tolist())
+    update = lambda a, b: a + h * b
+    for _ in range(n_sub):
+        v = tuple(map(update, v, rhs(v)))
+    return np.array(v)
+
+
 class ExactLinearMicro:
     """u -> exp(B dt) u for a linear system."""
 
@@ -85,13 +108,15 @@ class EulerMicro:
         self.h = self.dt / n_sub
         if isinstance(system, LinearFastSlowSystem):
             self.rhs = system.micro_rhs
+            self._substeps = _euler_array_substeps
         else:
             self.rhs = partial(_call_with_eps, system.micro_rhs, system.epsilon)
+            self._substeps = _euler_float_substeps
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        h, rhs = self.h, self.rhs
-        for _ in range(self.n_sub):
-            u = u + h * rhs(u)
+        # self.rhs is read here, not bound at construction, so a wrapper
+        # installed on the instance sees every substep.
+        u = self._substeps(self.rhs, self.h, self.n_sub, u)
         # Non-finite values cannot cancel back to finite ones under +/*,
         # so checking the endpoint catches any blown-up substep.
         return _require_finite(u, "Euler micro step")

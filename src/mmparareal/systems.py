@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -116,11 +116,19 @@ class NonlinearFastSlowSystem:
     over the slow state, lift_map(X) -> full state on the slow manifold.
     Callables must be pure; the built-in constructors below use module-level
     functions so systems can cross process boundaries.
+
+    micro_rhs must accept u as any length-d sequence and return d numbers:
+    the Euler micro propagator calls it with a tuple of d Python floats on
+    every substep (as does the probe at construction), other code may call
+    it with float arrays. Write it with + - * / on the components, as the
+    built-ins do. Python float overflow then yields inf, which the
+    propagator's endpoint check catches, whereas float ** raises
+    OverflowError instead.
     """
 
     slow_dim: int
     fast_dim: int
-    micro_rhs: Callable[[np.ndarray, float], np.ndarray]
+    micro_rhs: Callable[[Sequence[float], float], Sequence[float]]
     macro_rhs: Callable[[np.ndarray], np.ndarray]
     lift_map: Callable[[np.ndarray], np.ndarray]
     epsilon: float
@@ -135,13 +143,19 @@ class NonlinearFastSlowSystem:
             raise ValueError("epsilon must be positive")
         # Probe the callables once: lift must be a right inverse of the
         # slow-part restriction, and both rhs must return finite derivatives.
+        # micro_rhs is probed with the tuple the Euler propagator passes, so
+        # sequence arithmetic such as u + u (concatenation) is caught here
+        # rather than truncated silently by the substep loop.
         probe = np.ones(self.slow_dim)
         lifted = np.asarray(self.lift_map(probe), dtype=float)
         if lifted.shape != (self.dim,):
             raise ValueError("lift_map must return a full state")
         if not np.array_equal(lifted[: self.slow_dim], probe):
             raise ValueError("lift_map output must restrict to its input")
-        if not np.all(np.isfinite(self.micro_rhs(lifted, self.epsilon))):
+        du = np.asarray(self.micro_rhs(tuple(lifted.tolist()), self.epsilon))
+        if du.shape != (self.dim,):
+            raise ValueError("micro_rhs must return one derivative per component")
+        if not np.all(np.isfinite(du)):
             raise ValueError("micro_rhs returned non-finite values on probe")
         if not np.all(np.isfinite(self.macro_rhs(probe))):
             raise ValueError("macro_rhs returned non-finite values on probe")
@@ -162,9 +176,11 @@ def builtin_toy(epsilon: float) -> LinearFastSlowSystem:
     )
 
 
-def _quadratic_micro_rhs(lam: float, u: np.ndarray, epsilon: float) -> np.ndarray:
+def _quadratic_micro_rhs(
+    lam: float, u: Sequence[float], epsilon: float
+) -> tuple[float, float]:
     x, y = u
-    return np.array([-lam * x - y, (x * x - y) / epsilon])
+    return (-lam * x - y, (x * x - y) / epsilon)
 
 
 def _quadratic_macro_rhs(lam: float, x: np.ndarray) -> np.ndarray:
@@ -194,16 +210,16 @@ BRUSSELATOR_A = 1.0
 BRUSSELATOR_B = 3.0
 
 
-def _brusselator_micro_rhs(u: np.ndarray, epsilon: float) -> np.ndarray:
+def _brusselator_micro_rhs(
+    u: Sequence[float], epsilon: float
+) -> tuple[float, float, float]:
     x1, x2, y = u
     # The -y*x1 term in the fast equation is deliberately not divided by
     # epsilon: only the relaxation toward B is stiff.
-    return np.array(
-        [
-            BRUSSELATOR_A - (y + 1.0) * x1 + x1 * x1 * x2,
-            y * x1 - x1 * x1 * x2,
-            (BRUSSELATOR_B - y) / epsilon - y * x1,
-        ]
+    return (
+        BRUSSELATOR_A - (y + 1.0) * x1 + x1 * x1 * x2,
+        y * x1 - x1 * x1 * x2,
+        (BRUSSELATOR_B - y) / epsilon - y * x1,
     )
 
 

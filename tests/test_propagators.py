@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from mmparareal.propagators import (
     make_micro,
     micro_reference_trajectory,
 )
-from mmparareal.systems import builtin_quadratic, builtin_toy
+from mmparareal.systems import builtin_brusselator, builtin_quadratic, builtin_toy
 
 U0 = np.array([1.0, 0.0, 0.0])
 
@@ -71,7 +72,9 @@ class TestEulerMicro:
         system = builtin_quadratic(1.0, 1e-3)
         prop = EulerMicro(system, dt=1e-4, substep=1e-4)
         u = np.array([2.0, 0.0])
-        assert np.array_equal(prop.step(u), u + 1e-4 * system.micro_rhs(u, 1e-3))
+        assert np.array_equal(
+            prop.step(u), u + 1e-4 * np.asarray(system.micro_rhs(u, 1e-3))
+        )
 
     def test_noninteger_substep_ratio_rejected(self):
         with pytest.raises(ValueError):
@@ -92,6 +95,45 @@ class TestEulerMicro:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteStateError):
                 prop.step(U0)
+
+    @pytest.mark.parametrize(
+        "system, u0",
+        [
+            (builtin_quadratic(1.0, 1e-3), [1.0, 0.5]),
+            (builtin_brusselator(1e-3), [1.0, 2.0, 2.5]),
+        ],
+        ids=["quadratic", "brusselator"],
+    )
+    def test_nonlinear_unstable_substep_raises_without_warning(self, system, u0):
+        # h / eps = 10, far past the stability limit 2: the fast component
+        # overflows. The error must be the only signal, with no overflow
+        # warning on the way.
+        prop = EulerMicro(system, dt=10.0, substep=1e-2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError):
+                prop.step(np.array(u0))
+
+    @pytest.mark.parametrize(
+        "system",
+        [builtin_quadratic(1.0, 1e-3), builtin_brusselator(1e-3)],
+        ids=["quadratic", "brusselator"],
+    )
+    def test_nonlinear_step_is_bitwise_the_array_recurrence(self, system):
+        # The reference is the array loop u <- u + h * rhs(u), evaluated
+        # with numpy; the propagator must reproduce it bit for bit, on and
+        # off the slow manifold.
+        prop = EulerMicro(system, 0.1, 1e-4)
+        rng = np.random.default_rng(7)
+        on_manifold = [
+            system.lift_map(x) for x in rng.uniform(0.2, 2.0, (3, system.slow_dim))
+        ]
+        off_manifold = list(rng.uniform(0.2, 3.0, (3, system.dim)))
+        for u0 in on_manifold + off_manifold:
+            u = u0
+            for _ in range(prop.n_sub):
+                u = u + prop.h * np.asarray(system.micro_rhs(u, system.epsilon))
+            assert np.array_equal(prop.step(u0), u)
 
 
 class TestMacroPropagators:

@@ -147,6 +147,18 @@ class TestNonlinearValidation:
                 epsilon=1e-3,
             )
 
+    def test_micro_rhs_must_return_one_value_per_component(self):
+        # On the tuple state the Euler propagator passes, u + u concatenates.
+        with pytest.raises(ValueError):
+            NonlinearFastSlowSystem(
+                slow_dim=1,
+                fast_dim=1,
+                micro_rhs=lambda u, eps: u + u,
+                macro_rhs=lambda x: np.zeros(1),
+                lift_map=lambda x: np.concatenate([x, [0.0]]),
+                epsilon=1e-3,
+            )
+
     def test_rhs_must_be_finite_on_probe(self):
         with pytest.raises(ValueError):
             NonlinearFastSlowSystem(
