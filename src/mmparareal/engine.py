@@ -19,6 +19,11 @@ Iteration k -> k+1 proceeds in the classic predictor-corrector shape:
        DAE_COARSE   u[k+1][n+1] = ubar[n+1]
                         + lift(C(restrict(u[k+1][n])) - C(restrict(u[k][n])))
 
+The jumps (2b) and the LIFTING and MATCHING rebuilds (2d) are row
+operations: the transfer maps and the macro step act on all N intervals at
+once. The sweep (2c) and the DAE_COARSE rebuild need the new value at n to
+compute n+1, so they stay sequential.
+
 DAE_COARSE is the plain parareal iteration whose coarse propagator is the
 composition lift . C . restrict; that identification only holds for the
 linear model, so the variant rejects nonlinear systems.
@@ -36,7 +41,7 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
 from math import ceil
-from typing import Callable, Optional
+from typing import Optional
 
 import multiprocessing
 import numpy as np
@@ -67,8 +72,6 @@ class PararealConfig:
     micro_kind: str = "exact"
     macro_kind: str = "exact"
     substep: Optional[float] = None
-    # Alternative matching operator; None selects the slow-part projection.
-    match_map: Optional[Callable] = None
     with_reference: bool = True
 
     def __post_init__(self):
@@ -139,14 +142,10 @@ def init_sweep(config: PararealConfig) -> PararealRun:
     system = config.system
     micro = make_micro(system, config.dt, config.micro_kind, config.substep)
     macro = make_macro(system, config.dt, config.macro_kind)
-    tset = transfer_for(system, match_map=config.match_map)
+    tset = transfer_for(system)
 
-    k_max, n, d, s = (
-        config.n_iterations,
-        config.n_intervals,
-        system.dim,
-        system.slow_dim,
-    )
+    k_max, n = config.n_iterations, config.n_intervals
+    d, s = system.dim, system.slow_dim
     u = np.full((k_max + 1, n + 1, d), np.nan)
     x = np.full((k_max + 1, n + 1, s), np.nan)
     fine_endpoints = np.full((k_max, n + 1, d), np.nan)
@@ -155,7 +154,7 @@ def init_sweep(config: PararealConfig) -> PararealRun:
     x[0][0] = tset.restrict(config.u0)
     for j in range(n):
         x[0][j + 1] = macro.step(x[0][j])
-        u[0][j + 1] = tset.lift(x[0][j + 1])
+    u[0][1:] = tset.lift(x[0][1:])
 
     timings = RunTimings(init_seconds=time.perf_counter() - t0)
     return PararealRun(
@@ -193,31 +192,26 @@ def parareal_iteration(run: PararealRun, k: int, workers: int = 1, pool=None):
         results = [_timed_fine_step(micro, u) for u in states]
     run.timings.fine_wall.append(time.perf_counter() - t0)
     run.timings.fine_task_seconds.append(sum(sec for _, sec in results))
-    for j, (v, _) in enumerate(results):
-        run.fine_endpoints[k][j + 1] = v
+    run.fine_endpoints[k][1:] = [v for v, _ in results]
     ubar = run.fine_endpoints[k]
 
     t0 = time.perf_counter()
-    # (2a, coarse part) and (2b): jumps between fine and coarse predictions.
-    jumps = np.empty((n + 1, config.system.slow_dim))
-    for j in range(n):
-        jumps[j + 1] = tset.restrict(ubar[j + 1]) - macro.step(run.x[k][j])
+    # (2a, coarse part) and (2b): jumps[j] is the jump on interval j+1.
+    jumps = tset.restrict(ubar[1:]) - macro.step(run.x[k][:-1])
 
     # (2c) corrected sequential sweep, ascending n for determinism.
     run.x[k + 1][0] = tset.restrict(config.u0)
     for j in range(n):
-        run.x[k + 1][j + 1] = macro.step(run.x[k + 1][j]) + jumps[j + 1]
+        run.x[k + 1][j + 1] = macro.step(run.x[k + 1][j]) + jumps[j]
 
     # (2d) rebuild the full states.
     run.u[k + 1][0] = config.u0
     variant = config.variant
     if variant is AlgorithmVariant.LIFTING:
-        for j in range(1, n + 1):
-            run.u[k + 1][j] = tset.lift(run.x[k + 1][j])
+        run.u[k + 1][1:] = tset.lift(run.x[k + 1][1:])
     elif variant is AlgorithmVariant.MATCHING:
-        for j in range(1, n + 1):
-            run.u[k + 1][j] = tset.match(run.x[k + 1][j], ubar[j])
-    else:  # DAE_COARSE
+        run.u[k + 1][1:] = tset.match(run.x[k + 1][1:], ubar[1:])
+    else:  # DAE_COARSE: u[k+1][j+1] needs u[k+1][j], so it is sequential
         for j in range(n):
             delta = macro.step(tset.restrict(run.u[k + 1][j])) - macro.step(
                 tset.restrict(run.u[k][j])

@@ -58,8 +58,10 @@ def _call_with_eps(f, epsilon: float, u: np.ndarray) -> np.ndarray:
 
 
 def _euler_array_substeps(rhs, h: float, n_sub: int, u: np.ndarray) -> np.ndarray:
-    for _ in range(n_sub):
-        u = u + h * rhs(u)
+    # A blow-up runs on to inf/NaN for the endpoint check, without warnings.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_sub):
+            u = u + h * rhs(u)
     return u
 
 

@@ -96,6 +96,10 @@ class LinearFastSlowSystem:
     def macro_rhs(self, x: np.ndarray) -> np.ndarray:
         return self.macro_rate() * np.asarray(x, dtype=float)
 
+    def lift_map(self, x: np.ndarray) -> np.ndarray:
+        """X -> (X, (A^-1 q) X), the point of the slow manifold over X."""
+        return np.concatenate([x, x[..., :1] * self.a_inv_q], axis=-1)
+
     def slow_manifold_offset(self, u: np.ndarray) -> np.ndarray:
         """z = y - (A^-1 q) x; zero exactly on the slow manifold."""
         u = np.asarray(u, dtype=float)
@@ -116,6 +120,10 @@ class NonlinearFastSlowSystem:
     over the slow state, lift_map(X) -> full state on the slow manifold.
     Callables must be pure; the built-in constructors below use module-level
     functions so systems can cross process boundaries.
+
+    macro_rhs and lift_map take a (..., slow_dim) array, one slow state or a
+    row of them, and must act on the last axis row by row (x[..., 0], not
+    x[0]); construction probes both with a 2-row batch.
 
     micro_rhs must accept u as any length-d sequence and return d numbers:
     the Euler micro propagator calls it with a tuple of d Python floats on
@@ -159,6 +167,17 @@ class NonlinearFastSlowSystem:
             raise ValueError("micro_rhs returned non-finite values on probe")
         if not np.all(np.isfinite(self.macro_rhs(probe))):
             raise ValueError("macro_rhs returned non-finite values on probe")
+        # A per-state callable such as lambda x: np.array([-x[0]]) would
+        # broadcast row 0's result over a whole row of states.
+        rows = probe * np.array([[1.0], [2.0]])
+        for name in ("lift_map", "macro_rhs"):
+            f = getattr(self, name)
+            try:
+                batch = np.asarray(f(rows), dtype=float)
+            except (IndexError, TypeError, ValueError):
+                batch = None
+            if not np.array_equal(batch, [f(row) for row in rows]):
+                raise ValueError(f"{name} must map a (n, slow_dim) array row by row")
 
     @property
     def dim(self) -> int:
@@ -184,11 +203,13 @@ def _quadratic_micro_rhs(
 
 
 def _quadratic_macro_rhs(lam: float, x: np.ndarray) -> np.ndarray:
-    return np.array([-lam * x[0] - x[0] * x[0]])
+    x0 = x[..., :1]
+    return -lam * x0 - x0 * x0
 
 
 def _quadratic_lift(x: np.ndarray) -> np.ndarray:
-    return np.array([x[0], x[0] * x[0]])
+    x0 = x[..., :1]
+    return np.concatenate([x0, x0 * x0], axis=-1)
 
 
 def builtin_quadratic(lambda_param: float, epsilon: float) -> NonlinearFastSlowSystem:
@@ -224,17 +245,18 @@ def _brusselator_micro_rhs(
 
 
 def _brusselator_macro_rhs(x: np.ndarray) -> np.ndarray:
-    x1, x2 = x
-    return np.array(
+    x1, x2 = x[..., 0], x[..., 1]
+    return np.stack(
         [
             BRUSSELATOR_A - (BRUSSELATOR_B + 1.0) * x1 + x1 * x1 * x2,
             BRUSSELATOR_B * x1 - x1 * x1 * x2,
-        ]
+        ],
+        axis=-1,
     )
 
 
 def _brusselator_lift(x: np.ndarray) -> np.ndarray:
-    return np.array([x[0], x[1], BRUSSELATOR_B])
+    return np.concatenate([x, np.full((*x.shape[:-1], 1), BRUSSELATOR_B)], axis=-1)
 
 
 def builtin_brusselator(epsilon: float) -> NonlinearFastSlowSystem:

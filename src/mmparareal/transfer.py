@@ -1,26 +1,22 @@
 """Operators coupling the microscopic and macroscopic descriptions.
 
-Four maps, bundled per system:
+Three maps, bundled per system. Each takes one state or a whole row of
+states, an (n, .) array, and acts on the last axis:
 
-* restrict:   u -> X, the slow components of the full state;
-* complement: u -> the fast components;
-* lift:       X -> a full state on the slow manifold;
-* match:      (X, v) -> full state taking the slow part from X and the fast
-              part from v.
+* restrict: u -> X, the slow components of the full state;
+* lift:     X -> a full state on the slow manifold;
+* match:    (X, v) -> full state taking the slow part from X and the fast
+            part from v.
 
 The identities restrict(lift(X)) = X, restrict(match(X, v)) = X and
-match(restrict(u), u) = u hold exactly (bitwise), because all four maps are
-implemented by slicing and concatenation. match is nonexpansive:
-||match(X,u) - match(Y,v)|| <= |X-Y| + ||u-v||.
-
-An alternative matching operator can be supplied to ``transfer_for`` as long
-as it satisfies the same identities; the iteration schemes only rely on those.
+match(restrict(u), u) = u hold exactly (bitwise), row by row: restrict and
+match are slicing and concatenation, and lift copies X into the slow slots.
+match is nonexpansive: ||match(X,u) - match(Y,v)|| <= |X-Y| + ||u-v||.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -28,53 +24,23 @@ import numpy as np
 from .systems import LinearFastSlowSystem, NonlinearFastSlowSystem
 
 
-def _linear_lift(a_inv_q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    return np.concatenate([x, a_inv_q * x[0]])
-
-
-def _projection_match(slow_dim: int, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    v = np.asarray(v, dtype=float)
-    return np.concatenate([x, v[slow_dim:]])
-
-
 @dataclass(eq=False)
 class TransferSet:
     """Restriction/lifting/matching maps bound to one system."""
 
     slow_dim: int
-    lift_map: Callable[[np.ndarray], np.ndarray]
-    match_map: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    lift: Callable[[np.ndarray], np.ndarray]
 
     def restrict(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(u, dtype=float)[: self.slow_dim].copy()
-
-    def complement(self, u: np.ndarray) -> np.ndarray:
-        return np.asarray(u, dtype=float)[self.slow_dim :].copy()
-
-    def lift(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.lift_map(np.atleast_1d(x)), dtype=float)
+        return u[..., : self.slow_dim].copy()
 
     def match(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return np.asarray(self.match_map(np.atleast_1d(x), v), dtype=float)
+        return np.concatenate([x, v[..., self.slow_dim :]], axis=-1)
 
 
-def transfer_for(system, match_map=None) -> TransferSet:
-    """Build the operator set for a system.
-
-    The default match replaces the slow components and keeps the fast ones
-    (for the Brusselator split this replaces the two slow concentrations and
-    keeps the fast species). Pass ``match_map`` to plug in an alternative.
-    """
-    if isinstance(system, LinearFastSlowSystem):
-        lift_map = partial(_linear_lift, system.a_inv_q)
-    elif isinstance(system, NonlinearFastSlowSystem):
-        lift_map = system.lift_map
-    else:
+def transfer_for(system) -> TransferSet:
+    """Build the operator set for a system. match replaces the slow
+    components and keeps the fast ones (for the Brusselator, the fast species)."""
+    if not isinstance(system, (LinearFastSlowSystem, NonlinearFastSlowSystem)):
         raise TypeError(f"unsupported system type {type(system).__name__}")
-    if match_map is None:
-        match_map = partial(_projection_match, system.slow_dim)
-    return TransferSet(
-        slow_dim=system.slow_dim, lift_map=lift_map, match_map=match_map
-    )
+    return TransferSet(slow_dim=system.slow_dim, lift=system.lift_map)

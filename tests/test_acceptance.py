@@ -199,11 +199,10 @@ def test_criterion_02_exact_micro_vs_integration_oracle():
 
 
 def test_criterion_03_lattice_consistency(exact_runs_k6):
-    worst = 0.0
-    for variant in (1, 2):
-        run = exact_runs_k6[variant]
-        gap = np.abs(run.x - run.u[:, :, :1])
-        worst = max(worst, float(np.max(gap / (1.0 + np.abs(run.x)))))
+    worst = max(
+        verification._consistency_violation(exact_runs_k6[1]),
+        verification._consistency_violation(exact_runs_k6[2]),
+    )
     ok = worst <= 1e-13
     record_criterion(
         "criterion 03 lattice consistency",
@@ -215,14 +214,10 @@ def test_criterion_03_lattice_consistency(exact_runs_k6):
 
 
 def test_criterion_04_local_exactness(exact_runs_k6):
-    worst = 0.0
-    for variant in (2, 3):
-        run = exact_runs_k6[variant]
-        ref = run.reference
-        for k in range(7):
-            for p in range(k + 1):
-                gap = np.linalg.norm(run.u[k][p] - ref[p])
-                worst = max(worst, gap / (1.0 + np.linalg.norm(ref[p])))
+    worst = max(
+        verification._exactness_defect(exact_runs_k6[2]),
+        verification._exactness_defect(exact_runs_k6[3]),
+    )
     ok = worst <= 1e-12
     record_criterion(
         "criterion 04 local exactness",

@@ -159,6 +159,30 @@ class TestNonlinearValidation:
                 epsilon=1e-3,
             )
 
+    def test_per_state_macro_rhs_is_rejected(self):
+        # On a row of slow states, x[0] is the first state: row 0's
+        # derivative would be broadcast over the whole row.
+        with pytest.raises(ValueError, match="macro_rhs"):
+            NonlinearFastSlowSystem(
+                slow_dim=1,
+                fast_dim=1,
+                micro_rhs=lambda u, eps: np.zeros(2),
+                macro_rhs=lambda x: np.array([-x[0]]),
+                lift_map=lambda x: np.concatenate([x, np.zeros_like(x)], axis=-1),
+                epsilon=1e-3,
+            )
+
+    def test_per_state_lift_map_is_rejected(self):
+        with pytest.raises(ValueError, match="lift_map"):
+            NonlinearFastSlowSystem(
+                slow_dim=1,
+                fast_dim=1,
+                micro_rhs=lambda u, eps: np.zeros(2),
+                macro_rhs=lambda x: -x,
+                lift_map=lambda x: np.array([x[0], 0.0]),
+                epsilon=1e-3,
+            )
+
     def test_rhs_must_be_finite_on_probe(self):
         with pytest.raises(ValueError):
             NonlinearFastSlowSystem(

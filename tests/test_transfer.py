@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mmparareal.propagators import make_macro
 from mmparareal.systems import builtin_brusselator, builtin_quadratic, builtin_toy
 from mmparareal.transfer import TransferSet, transfer_for
 
@@ -29,12 +30,6 @@ class TestRestrictComplement:
     def test_restrict_after_lift_is_identity(self, toy_tset):
         x = np.array([0.7])
         assert np.array_equal(toy_tset.restrict(toy_tset.lift(x)), x)
-
-    def test_complement_and_reassembly(self, toy_tset):
-        u = np.array([3.5, 1.0, 2.0])
-        assert np.array_equal(toy_tset.complement(u), np.array([1.0, 2.0]))
-        rebuilt = np.concatenate([toy_tset.restrict(u), toy_tset.complement(u)])
-        assert np.array_equal(rebuilt, u)
 
     def test_restrict_returns_a_copy(self, toy_tset):
         u = np.array([3.5, 1.0, 2.0])
@@ -75,13 +70,38 @@ class TestMatch:
         got = brus_tset.match(np.array([1.5, 2.5]), np.array([0.0, 0.0, 4.0]))
         assert np.array_equal(got, np.array([1.5, 2.5, 4.0]))
 
-    def test_custom_match_map_is_used(self):
-        def swap_match(x, v):
-            return np.concatenate([np.atleast_1d(x), v[1:][::-1]])
 
-        tset = transfer_for(builtin_toy(1e-3), match_map=swap_match)
-        got = tset.match(np.array([5.0]), np.array([3.0, 7.0, 9.0]))
-        assert np.array_equal(got, np.array([5.0, 9.0, 7.0]))
+@pytest.mark.parametrize(
+    "system, macro_kinds",
+    [
+        (builtin_toy(1e-2), ("exact", "euler", "rk4")),
+        (builtin_quadratic(1.0, 1e-3), ("euler", "rk4")),
+        (builtin_brusselator(1e-3), ("euler", "rk4")),
+    ],
+    ids=["toy", "quadratic", "brusselator"],
+)
+def test_row_maps_equal_stacked_single_states(system, macro_kinds):
+    # The engine applies the maps and the macro step to whole rows; each row
+    # of the result must be bitwise the map of that state alone.
+    rng = np.random.default_rng(31)
+    tset = transfer_for(system)
+    n, s = 7, system.slow_dim
+
+    def stacked(f, *rows):
+        return np.array([f(*states) for states in zip(*rows)])
+
+    x = rng.uniform(0.2, 2.0, (n, s))
+    on_manifold = stacked(tset.lift, x)
+    off_manifold = on_manifold + rng.normal(0.0, 0.5, on_manifold.shape)
+    assert np.array_equal(tset.lift(x), on_manifold)
+    new_x = rng.uniform(0.2, 2.0, (n, s))
+    macros = [make_macro(system, 0.1, kind) for kind in macro_kinds]
+    for u in (on_manifold, off_manifold):
+        assert np.array_equal(tset.restrict(u), stacked(tset.restrict, u))
+        assert np.array_equal(tset.match(new_x, u), stacked(tset.match, new_x, u))
+        slow = tset.restrict(u)
+        for macro in macros:
+            assert np.array_equal(macro.step(slow), stacked(macro.step, slow))
 
 
 class TestUnsupportedSystem:
@@ -93,18 +113,14 @@ class TestUnsupportedSystem:
 @settings(max_examples=50, deadline=None)
 @given(x=finite, fast=st.tuples(finite, finite), v=st.tuples(finite, finite, finite))
 def test_identities_hold_bitwise(x, fast, v):
-    tset = TransferSet(
-        slow_dim=1,
-        lift_map=lambda s: np.concatenate([s, np.zeros(2)]),
-        match_map=lambda s, w: np.concatenate([s, w[1:]]),
-    )
+    tset = TransferSet(slow_dim=1, lift=lambda s: np.concatenate([s, np.zeros(2)]))
     xs = np.array([x])
     u = np.array([x, *fast])
     vv = np.array(v)
     assert np.array_equal(tset.restrict(tset.lift(xs)), xs)
     assert np.array_equal(tset.match(tset.restrict(u), u), u)
     assert np.array_equal(tset.restrict(tset.match(xs, vv)), xs)
-    assert np.array_equal(tset.complement(tset.match(xs, vv)), tset.complement(vv))
+    assert np.array_equal(tset.match(xs, vv)[1:], vv[1:])
 
 
 @settings(max_examples=50, deadline=None)

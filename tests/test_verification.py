@@ -35,10 +35,7 @@ class TestTamperSensitivity:
         assert verification._consistency_violation(run) <= 1e-13
 
     def test_tampered_matching_is_flagged(self):
-        run = verification._toy_run(
-            AlgorithmVariant.MATCHING, kmax=2,
-            match_map=verification._tampered_match,
-        )
+        run = verification._tampered_run(kmax=2)
         assert verification._consistency_violation(run) > 1e-13
 
 
