@@ -20,6 +20,7 @@ import numpy as np
 
 from . import engine, linalg
 from .engine import AlgorithmVariant, PararealConfig, PararealRun
+from .propagators import ExactLinearMicro, micro_reference_trajectory
 from .systems import LinearFastSlowSystem, builtin_toy
 
 # Relative errors below this are treated as machine-precision noise.
@@ -294,11 +295,9 @@ def lemma_diagnostics(
 
         h = t_final / n_grid
         times = h * np.arange(n_grid + 1)
-        step = linalg.mat_exp(system.b_matrix() * h)
-        traj = np.empty((n_grid + 1, system.dim))
-        traj[0] = u0
-        for j in range(n_grid):
-            traj[j + 1] = step @ traj[j]
+        traj = micro_reference_trajectory(
+            ExactLinearMicro(system, h), u0, n_grid
+        )
 
         x = traj[:, 0]
         z = traj[:, 1:] - np.outer(x, system.a_inv_q)

@@ -230,7 +230,8 @@ def _build_system(spec: ExperimentSpec, epsilon: float):
     return builtin_brusselator(epsilon)
 
 
-def _table_for(spec: ExperimentSpec, epsilon: float, dt: float):
+def _table_for(spec: ExperimentSpec, point):
+    epsilon, dt = point
     return analysis.experiment_table(
         _build_system(spec, epsilon),
         spec.system,
@@ -255,39 +256,20 @@ def _map_points(func, points, workers: int):
     return [func(p) for p in points]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _emit_tables(tables, spec: ExperimentSpec) -> str:
     lines = [CSV_HEADER]
-    for table in tables:
-        n_final = table.n_intervals
-        for k in range(table.n_iterations + 1):
-            ns = range(n_final + 1) if spec.all_times else (n_final,)
-            for n in ns:
-                lines.append(
-                    ",".join(
-                        _fmt(v)
-                        for v in (
-                            table.system,
-                            table.variant,
-                            table.coarse,
-                            table.fine,
-                            table.epsilon,
-                            table.dt,
-                            table.t_final,
-                            k,
-                            n,
-                            float(table.rel_macro[k, n]),
-                            float(table.rel_micro[k, n]),
-                            float(table.abs_macro[k, n]),
-                            float(table.abs_micro[k, n]),
-                        )
-                    )
-                )
+    for t in tables:
+        lead = (
+            f"{t.system},{t.variant},{t.coarse},{t.fine},"
+            f"{t.epsilon!r},{t.dt!r},{t.t_final!r}"
+        )
+        ns = range(t.n_intervals + 1) if spec.all_times else [t.n_intervals]
+        errors = np.stack(
+            [t.rel_macro, t.rel_micro, t.abs_macro, t.abs_micro], axis=-1
+        )[:, ns]
+        for k, row in enumerate(errors):
+            for n, cells in zip(ns, row.tolist()):
+                lines.append(f"{lead},{k},{n}," + ",".join(map(repr, cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -306,34 +288,26 @@ def _print_metadata(spec: ExperimentSpec):
         file=sys.stderr,
     )
     print(
-        f"# u0={spec.u0} T={_fmt(spec.t_final)} dt={_fmt(spec.dt)} "
+        f"# u0={spec.u0} T={spec.t_final!r} dt={spec.dt!r} "
         f"substep={spec.substep} kmax={spec.kmax}",
         file=sys.stderr,
     )
     if spec.system == "quadratic":
-        print(f"# quadratic_lambda={_fmt(spec.quadratic_lambda)}", file=sys.stderr)
+        print(f"# quadratic_lambda={spec.quadratic_lambda!r}", file=sys.stderr)
 
 
-def cmd_sweep_epsilon(spec: ExperimentSpec) -> int:
+def cmd_sweep(spec: ExperimentSpec) -> int:
+    """sweep-epsilon, sweep-k and sweep-dt: one error table per grid point.
+
+    The three differ only in their grid and default kmax: sweep-dt maps the
+    dt grid at the first epsilon, the other two the epsilon grid at --dt.
+    """
     _print_metadata(spec)
-    tables = _map_points(
-        partial(_table_for, spec, dt=spec.dt), spec.epsilons, spec.workers
-    )
-    _write_output(_emit_tables(tables, spec), spec.out)
-    return 0
-
-
-# Same row layout; sweep-k differs only in its defaults (large kmax, so the
-# per-k columns trace convergence for each epsilon).
-cmd_sweep_k = cmd_sweep_epsilon
-
-
-def cmd_sweep_dt(spec: ExperimentSpec) -> int:
-    _print_metadata(spec)
-    epsilon = spec.epsilons[0]
-    tables = _map_points(
-        partial(_table_for, spec, epsilon), spec.dts, spec.workers
-    )
+    if spec.command == "sweep-dt":
+        points = [(spec.epsilons[0], dt) for dt in spec.dts]
+    else:
+        points = [(epsilon, spec.dt) for epsilon in spec.epsilons]
+    tables = _map_points(partial(_table_for, spec), points, spec.workers)
     _write_output(_emit_tables(tables, spec), spec.out)
     return 0
 
@@ -423,14 +397,9 @@ def main(argv=None) -> int:
             spec = resolve_spec(args)
         except ValueError as exc:
             raise CliError(str(exc)) from exc
-        dispatch = {
-            "sweep-epsilon": cmd_sweep_epsilon,
-            "sweep-k": cmd_sweep_k,
-            "sweep-dt": cmd_sweep_dt,
-            "speedup": cmd_speedup,
-        }
+        command = cmd_speedup if args.command == "speedup" else cmd_sweep
         try:
-            return dispatch[args.command](spec)
+            return command(spec)
         except ValueError as exc:
             # Config-shaped problems surfacing from the library layer.
             raise CliError(str(exc)) from exc

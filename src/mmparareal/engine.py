@@ -105,8 +105,6 @@ class PararealConfig:
 
 @dataclass
 class RunTimings:
-    init_seconds: float = 0.0
-    reference_seconds: float = 0.0
     # One entry per iteration.
     fine_wall: list = field(default_factory=list)
     fine_task_seconds: list = field(default_factory=list)
@@ -138,7 +136,6 @@ def init_sweep(config: PararealConfig) -> PararealRun:
 
     u[0][0] is the given initial condition, not its lifted slow part.
     """
-    t0 = time.perf_counter()
     system = config.system
     micro = make_micro(system, config.dt, config.micro_kind, config.substep)
     macro = make_macro(system, config.dt, config.macro_kind)
@@ -156,14 +153,13 @@ def init_sweep(config: PararealConfig) -> PararealRun:
         x[0][j + 1] = macro.step(x[0][j])
     u[0][1:] = tset.lift(x[0][1:])
 
-    timings = RunTimings(init_seconds=time.perf_counter() - t0)
     return PararealRun(
         config=config,
         u=u,
         x=x,
         fine_endpoints=fine_endpoints,
         reference=None,
-        timings=timings,
+        timings=RunTimings(),
         micro_prop=micro,
         macro_prop=macro,
         transfer=tset,
@@ -227,11 +223,9 @@ def run(config: PararealConfig, workers: int = 1) -> PararealRun:
     r = init_sweep(config)
 
     if config.with_reference:
-        t0 = time.perf_counter()
         r.reference = micro_reference_trajectory(
             r.micro_prop, config.u0, config.n_intervals
         )
-        r.timings.reference_seconds = time.perf_counter() - t0
 
     pool = None
     try:

@@ -22,6 +22,8 @@ from .systems import builtin_brusselator, builtin_toy
 from .transfer import TransferSet, transfer_for
 
 TOY_U0 = np.array([1.0, 0.0, 0.0])
+# Epsilon grid of the closeness-bound ratio reports.
+LEMMA_EPS = [1e-5, 1e-4, 1e-3, 1e-2]
 
 
 @dataclass
@@ -32,7 +34,7 @@ class CheckResult:
 
 
 def _toy_config(variant, epsilon=1e-2, kmax=4, coarse="exact", fine="exact",
-                substep=None):
+                substep=None, with_reference=True):
     return PararealConfig(
         system=builtin_toy(epsilon),
         t_final=10.0,
@@ -43,6 +45,7 @@ def _toy_config(variant, epsilon=1e-2, kmax=4, coarse="exact", fine="exact",
         micro_kind=fine,
         macro_kind=coarse,
         substep=substep,
+        with_reference=with_reference,
     )
 
 
@@ -164,12 +167,10 @@ def check_consistency_lattice():
 def _exactness_defect(run) -> float:
     """max over p <= k of |u[k][p] - ref[p]| / (1 + |ref[p]|)."""
     ref = run.reference
-    worst = 0.0
-    for k in range(run.config.n_iterations + 1):
-        for p in range(k + 1):
-            gap = np.linalg.norm(run.u[k][p] - ref[p])
-            worst = max(worst, gap / (1.0 + np.linalg.norm(ref[p])))
-    return worst
+    k, p = np.indices(run.u.shape[:2])
+    gap = np.linalg.norm(run.u - ref, axis=2)
+    scaled = gap / (1.0 + np.linalg.norm(ref, axis=1))
+    return float(np.max(scaled[p <= k]))
 
 
 def check_local_exactness():
@@ -249,6 +250,15 @@ def check_matching_equals_plain_parareal():
     return worst <= 1e-12, f"worst deviation {worst:.2e} (<= 1e-12 relative)"
 
 
+def _lattices_identical(runs) -> bool:
+    """True when every run's u and x lattices equal the first run's bitwise."""
+    first, *rest = runs
+    return all(
+        np.array_equal(first.u, r.u) and np.array_equal(first.x, r.x)
+        for r in rest
+    )
+
+
 def check_determinism_across_workers():
     runs = [
         _toy_run(
@@ -257,14 +267,12 @@ def check_determinism_across_workers():
             coarse="euler",
             fine="euler",
             substep=1e-4,
+            with_reference=False,
             workers=w,
         )
         for w in (1, 2)
     ]
-    same = np.array_equal(runs[0].u, runs[1].u) and np.array_equal(
-        runs[0].x, runs[1].x
-    )
-    return same, "lattices bit-identical for 1 and 2 workers"
+    return _lattices_identical(runs), "lattices bit-identical for 1 and 2 workers"
 
 
 def check_euler_micro_order():
@@ -314,10 +322,20 @@ def check_tamper_detection():
     )
 
 
-def check_lemma_ratio_stability():
-    report = analysis.lemma_diagnostics(
-        builtin_toy, TOY_U0, [1e-5, 1e-4, 1e-3, 1e-2]
+def _toy_lemma_report():
+    """Closeness-bound ratios of the toy system on LEMMA_EPS."""
+    return analysis.lemma_diagnostics(builtin_toy, TOY_U0, LEMMA_EPS)
+
+
+def _witness_lemma_report():
+    """Closeness-bound ratios of the sharpness witness on LEMMA_EPS."""
+    return analysis.lemma_diagnostics(
+        analysis.sharpness_witness, np.array([1.0, 0.0]), LEMMA_EPS
     )
+
+
+def check_lemma_ratio_stability():
+    report = _toy_lemma_report()
     spread = max(report.variation[f] for f in analysis.LEMMA_FAMILIES)
     return (
         report.ok,
@@ -326,10 +344,7 @@ def check_lemma_ratio_stability():
 
 
 def check_sharpness_witness():
-    report = analysis.lemma_diagnostics(
-        analysis.sharpness_witness, np.array([1.0, 0.0]),
-        [1e-5, 1e-4, 1e-3, 1e-2],
-    )
+    report = _witness_lemma_report()
     low = float(np.min(report.ratios["z_tail"]))
     return low >= 0.1, f"z_tail ratio stays >= {low:.3f} (floor 0.1)"
 

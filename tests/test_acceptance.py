@@ -12,12 +12,7 @@ import pytest
 from conftest import record_criterion, rk4_matrix
 
 from mmparareal import engine, verification
-from mmparareal.analysis import (
-    experiment_table,
-    fit_slope,
-    lemma_diagnostics,
-    sharpness_witness,
-)
+from mmparareal.analysis import experiment_table, fit_slope
 from mmparareal.cli import main
 from mmparareal.engine import AlgorithmVariant, PararealConfig, classic_parareal
 from mmparareal.propagators import ExactLinearMicro
@@ -553,9 +548,8 @@ def test_criterion_14b_brusselator_order_grows(brusselator_rk4_tables):
 
 
 def test_criterion_15_closeness_bound_ratios():
-    grid = [1e-5, 1e-4, 1e-3, 1e-2]
-    diag = lemma_diagnostics(builtin_toy, TOY_U0, grid)
-    witness = lemma_diagnostics(sharpness_witness, np.array([1.0, 0.0]), grid)
+    diag = verification._toy_lemma_report()
+    witness = verification._witness_lemma_report()
     tail_floor = float(np.min(witness.ratios["z_tail"]))
     ok = diag.ok and tail_floor >= 0.1
     record_criterion(
@@ -574,11 +568,7 @@ def test_criterion_15_closeness_bound_ratios():
 
 def test_criterion_16a_worker_count_invariance(worker_runs):
     runs, _ = worker_runs
-    base = runs[1]
-    same = all(
-        np.array_equal(base.u, runs[w].u) and np.array_equal(base.x, runs[w].x)
-        for w in (2, 4)
-    )
+    same = verification._lattices_identical([runs[w] for w in (1, 2, 4)])
     record_criterion(
         "criterion 16a worker-count invariance",
         same,

@@ -54,24 +54,31 @@ class TestCsvShape:
         code, text = run_to_file(
             tmp_path, "c.csv", "sweep-dt", "--algorithm", "2",
             "--epsilons", "1e-4", "--dts", "0.2,0.1", "--kmax", "1",
-            "--workers", "1",
+            "--all-times", "--workers", "1",
         )
         assert code == 0
-        rows = rows_of(text)
+        expected = [CSV_HEADER]
         for dt in (0.2, 0.1):
             table = analysis.experiment_table(
                 builtin_toy(1e-4), "toy", AlgorithmVariant.MATCHING,
                 coarse="exact", fine="exact", dt=dt, t_final=10.0, kmax=1,
                 u0=TOY_U0,
             )
-            for k in (0, 1):
-                row = next(
-                    r for r in rows
-                    if float(r["dt"]) == dt and r["k"] == str(k)
-                )
-                assert float(row["rel_macro_error"]) == table.rel_macro[k, -1]
-                assert float(row["rel_micro_error"]) == table.rel_micro[k, -1]
-                assert float(row["abs_micro_error"]) == table.abs_micro[k, -1]
+            text_fields = (table.system, table.variant, table.coarse, table.fine)
+            float_fields = (table.epsilon, table.dt, table.t_final)
+            for k in range(table.n_iterations + 1):
+                for n in range(table.n_intervals + 1):
+                    errors = (
+                        table.rel_macro[k, n], table.rel_micro[k, n],
+                        table.abs_macro[k, n], table.abs_micro[k, n],
+                    )
+                    expected.append(",".join(
+                        [str(v) for v in text_fields]
+                        + [repr(float(v)) for v in float_fields]
+                        + [str(k), str(n)]
+                        + [repr(float(v)) for v in errors]
+                    ))
+        assert text == "\n".join(expected) + "\n"
 
 
 class TestDeterminism:
@@ -89,6 +96,13 @@ class TestDeterminism:
         _, one = run_to_file(tmp_path, "w1.csv", *self.ARGS, "--workers", "1")
         _, two = run_to_file(tmp_path, "w2.csv", *self.ARGS, "--workers", "2")
         assert one == two
+
+    def test_sweep_k_and_sweep_epsilon_write_identical_bytes(self, tmp_path):
+        args = (*self.ARGS[1:], "--all-times", "--workers", "1")
+        code_k, by_k = run_to_file(tmp_path, "k.csv", "sweep-k", *args)
+        code_eps, by_eps = run_to_file(tmp_path, "e.csv", "sweep-epsilon", *args)
+        assert code_k == code_eps == 0
+        assert by_k == by_eps
 
     def test_metadata_stays_on_stderr(self, capsys):
         assert main(["sweep-epsilon", "--epsilons", "1e-3", "--kmax", "1",
