@@ -174,6 +174,18 @@ def _check_layer_separation(system, dt: float):
             )
 
 
+def _final_errors(points, k, which, system_builder, u0, **table_args):
+    """Final-time relative error at iteration k for each (epsilon, dt)."""
+    start = TOY_U0 if u0 is None else u0
+    errors = []
+    for eps, dt in points:
+        system = system_builder(eps)
+        _check_layer_separation(system, dt)
+        table = experiment_table(system, dt=dt, kmax=k, u0=start, **table_args)
+        errors.append(table.final_relative(k, which))
+    return np.array(errors)
+
+
 def epsilon_order(
     variant,
     coarse: str,
@@ -191,17 +203,12 @@ def epsilon_order(
 ) -> SlopeFit:
     """Slope of the final-time relative error at iteration k versus epsilon."""
     eps_values = np.asarray(eps_values, dtype=float)
-    errors = []
-    for eps in eps_values:
-        system = system_builder(eps)
-        _check_layer_separation(system, dt)
-        start = TOY_U0 if u0 is None else u0
-        table = experiment_table(
-            system, system_id, variant, coarse, fine, dt, t_final, k, start,
-            substep=substep,
-        )
-        errors.append(table.final_relative(k, which))
-    return fit_slope(eps_values, np.array(errors), floor=floor)
+    errors = _final_errors(
+        [(eps, dt) for eps in eps_values], k, which, system_builder, u0,
+        system_id=system_id, variant=variant, coarse=coarse, fine=fine,
+        t_final=t_final, substep=substep,
+    )
+    return fit_slope(eps_values, errors, floor=floor)
 
 
 def dt_order(
@@ -222,17 +229,12 @@ def dt_order(
     """Slope of the final-time error at iteration k versus 1/dt at fixed
     epsilon (positive for errors shrinking with dt)."""
     dt_values = np.asarray(dt_values, dtype=float)
-    errors = []
-    for dt in dt_values:
-        system = system_builder(epsilon)
-        _check_layer_separation(system, dt)
-        start = TOY_U0 if u0 is None else u0
-        table = experiment_table(
-            system, system_id, variant, coarse, fine, dt, t_final, k, start,
-            substep=substep,
-        )
-        errors.append(table.final_relative(k, which))
-    return fit_slope(1.0 / dt_values, np.array(errors), floor=floor)
+    errors = _final_errors(
+        [(epsilon, dt) for dt in dt_values], k, which, system_builder, u0,
+        system_id=system_id, variant=variant, coarse=coarse, fine=fine,
+        t_final=t_final, substep=substep,
+    )
+    return fit_slope(1.0 / dt_values, errors, floor=floor)
 
 
 # Families whose factor-10 stability across epsilon is asserted; the two

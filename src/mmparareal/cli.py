@@ -202,6 +202,10 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     if workers < 1:
         raise CliError("workers must be >= 1")
 
+    all_times = pick("all_times", False)
+    if not isinstance(all_times, bool):
+        raise CliError("all_times must be true or false")
+
     return ExperimentSpec(
         command=args.command,
         system=system,
@@ -217,7 +221,7 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
         u0=u0,
         out=str(pick("out", "-")),
         workers=workers,
-        all_times=bool(pick("all_times", False)),
+        all_times=all_times,
         quadratic_lambda=float(config.get("quadratic_lambda", 1.0)),
     )
 
@@ -395,7 +399,7 @@ def main(argv=None) -> int:
             return cmd_verify()
         try:
             spec = resolve_spec(args)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise CliError(str(exc)) from exc
         command = cmd_speedup if args.command == "speedup" else cmd_sweep
         try:

@@ -9,7 +9,8 @@ lattices indexed by iteration k and interval endpoint n:
 Iteration k -> k+1 proceeds in the classic predictor-corrector shape:
 
   (2a) from row k, advance every interval independently: fine endpoints
-       ubar[n+1] = F(u[k][n]) (the only parallel region) and coarse
+       ubar[n+1] = F(u[k][n]) (the only parallel region: one task per
+       contiguous slab of the row, gathered in slab order) and coarse
        predictions xbar[n+1] = C(x[k][n]);
   (2b) jumps j[n+1] = restrict(ubar[n+1]) - xbar[n+1];
   (2c) sequential corrected sweep x[k+1][n+1] = C(x[k+1][n]) + j[n+1];
@@ -28,7 +29,8 @@ DAE_COARSE is the plain parareal iteration whose coarse propagator is the
 composition lift . C . restrict; that identification only holds for the
 linear model, so the variant rejects nonlinear systems.
 
-Determinism: the fine stage is a pure map with an ordered gather and every
+Determinism: the fine stage is a pure map over contiguous slabs (one per
+worker, or the whole row without a pool) with an ordered gather, and every
 sweep reduces in ascending n, so lattices are bit-identical for any worker
 count.
 """
@@ -40,7 +42,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
-from math import ceil
 from typing import Optional
 
 import multiprocessing
@@ -116,7 +117,6 @@ class PararealRun:
     config: PararealConfig
     u: np.ndarray              # (K+1, N+1, d)
     x: np.ndarray              # (K+1, N+1, s)
-    fine_endpoints: np.ndarray  # (K, N+1, d); slot [k][0] stays NaN
     reference: Optional[np.ndarray]
     timings: RunTimings
     micro_prop: object
@@ -125,10 +125,11 @@ class PararealRun:
     rows_filled: int = 1
 
 
-def _timed_fine_step(prop, u):
+def _fine_slab(prop, states):
+    """Fine endpoints of a slab of states, in order, and the slab's seconds."""
     t0 = time.perf_counter()
-    v = prop.step(u)
-    return v, time.perf_counter() - t0
+    ends = [prop.step(u) for u in states]
+    return ends, time.perf_counter() - t0
 
 
 def init_sweep(config: PararealConfig) -> PararealRun:
@@ -145,7 +146,6 @@ def init_sweep(config: PararealConfig) -> PararealRun:
     d, s = system.dim, system.slow_dim
     u = np.full((k_max + 1, n + 1, d), np.nan)
     x = np.full((k_max + 1, n + 1, s), np.nan)
-    fine_endpoints = np.full((k_max, n + 1, d), np.nan)
 
     u[0][0] = config.u0
     x[0][0] = tset.restrict(config.u0)
@@ -157,7 +157,6 @@ def init_sweep(config: PararealConfig) -> PararealRun:
         config=config,
         u=u,
         x=x,
-        fine_endpoints=fine_endpoints,
         reference=None,
         timings=RunTimings(),
         micro_prop=micro,
@@ -176,24 +175,21 @@ def parareal_iteration(run: PararealRun, k: int, workers: int = 1, pool=None):
     n = config.n_intervals
     micro, macro, tset = run.micro_prop, run.macro_prop, run.transfer
 
-    # (2a) fine endpoints: pure map over row k, gathered in index order.
-    states = [run.u[k][j] for j in range(n)]
-    t0 = time.perf_counter()
-    if pool is not None and workers > 1:
-        chunk = ceil(n / workers)
-        results = list(
-            pool.map(partial(_timed_fine_step, micro), states, chunksize=chunk)
-        )
+    # (2a) fine endpoints: pure map over contiguous slabs of row k, gathered
+    # in slab order; ubar[j] is the endpoint of interval j+1.
+    if pool is None:
+        slabs, mapper = [run.u[k][:-1]], map
     else:
-        results = [_timed_fine_step(micro, u) for u in states]
+        slabs, mapper = np.array_split(run.u[k][:-1], workers), pool.map
+    t0 = time.perf_counter()
+    results = list(mapper(partial(_fine_slab, micro), slabs))
     run.timings.fine_wall.append(time.perf_counter() - t0)
     run.timings.fine_task_seconds.append(sum(sec for _, sec in results))
-    run.fine_endpoints[k][1:] = [v for v, _ in results]
-    ubar = run.fine_endpoints[k]
+    ubar = np.array([v for ends, _ in results for v in ends])
 
     t0 = time.perf_counter()
     # (2a, coarse part) and (2b): jumps[j] is the jump on interval j+1.
-    jumps = tset.restrict(ubar[1:]) - macro.step(run.x[k][:-1])
+    jumps = tset.restrict(ubar) - macro.step(run.x[k][:-1])
 
     # (2c) corrected sequential sweep, ascending n for determinism.
     run.x[k + 1][0] = tset.restrict(config.u0)
@@ -206,13 +202,12 @@ def parareal_iteration(run: PararealRun, k: int, workers: int = 1, pool=None):
     if variant is AlgorithmVariant.LIFTING:
         run.u[k + 1][1:] = tset.lift(run.x[k + 1][1:])
     elif variant is AlgorithmVariant.MATCHING:
-        run.u[k + 1][1:] = tset.match(run.x[k + 1][1:], ubar[1:])
+        run.u[k + 1][1:] = tset.match(run.x[k + 1][1:], ubar)
     else:  # DAE_COARSE: u[k+1][j+1] needs u[k+1][j], so it is sequential
+        old_coarse = macro.step(tset.restrict(run.u[k][:-1]))
         for j in range(n):
-            delta = macro.step(tset.restrict(run.u[k + 1][j])) - macro.step(
-                tset.restrict(run.u[k][j])
-            )
-            run.u[k + 1][j + 1] = ubar[j + 1] + tset.lift(delta)
+            delta = macro.step(tset.restrict(run.u[k + 1][j])) - old_coarse[j]
+            run.u[k + 1][j + 1] = ubar[j] + tset.lift(delta)
     run.timings.sweep_wall.append(time.perf_counter() - t0)
 
     run.rows_filled = max(run.rows_filled, k + 2)

@@ -79,10 +79,7 @@ def _euler_float_substeps(rhs, h: float, n_sub: int, u: np.ndarray) -> np.ndarra
 class ExactLinearMicro:
     """u -> exp(B dt) u for a linear system."""
 
-    kind = "exact-linear"
-
     def __init__(self, system: LinearFastSlowSystem, dt: float):
-        self.system = system
         self.dt = float(dt)
         self.phi = linalg.mat_exp(system.b_matrix() * self.dt)
 
@@ -93,10 +90,7 @@ class ExactLinearMicro:
 class EulerMicro:
     """Explicit Euler substepping of the full right-hand side."""
 
-    kind = "forward-euler"
-
     def __init__(self, system, dt: float, substep: float = DEFAULT_SUBSTEP):
-        self.system = system
         self.dt = float(dt)
         if not (substep > 0):
             raise ValueError("substep must be positive")
@@ -127,8 +121,6 @@ class EulerMicro:
 class ExactLinearMacro:
     """X -> exp(lam dt) X for the linear slow model."""
 
-    kind = "exact-linear"
-
     def __init__(self, system: LinearFastSlowSystem, dt: float):
         self.dt = float(dt)
         self.rho = math.exp(system.macro_rate() * self.dt)
@@ -139,8 +131,6 @@ class ExactLinearMacro:
 
 class EulerMacro:
     """Single explicit Euler step of the slow model."""
-
-    kind = "forward-euler-single-step"
 
     def __init__(self, system, dt: float):
         self.dt = float(dt)
@@ -156,8 +146,6 @@ class RK4Macro:
     dt is split into the fewest equal substeps no longer than
     DEFAULT_MACRO_SUBSTEP.
     """
-
-    kind = "rk4"
 
     def __init__(self, system, dt: float):
         self.dt = float(dt)

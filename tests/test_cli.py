@@ -149,6 +149,20 @@ class TestValidationErrors:
         assert main(["sweep-epsilon", "--config", str(cfg)]) == 1
         assert "could not read config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "config",
+        [{"dt": [0.1]}, {"u0": 5}, {"epsilons": 0.001}, {"all_times": "false"}],
+        ids=["dt-list", "u0-number", "epsilons-number", "all-times-string"],
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, config):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["sweep-k", "--config", str(cfg), "--kmax", "1", "--workers", "1"]
+        if "epsilons" not in config:
+            argv += ["--epsilons", "1e-3"]
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+
 
 class TestNumericalFailure:
     def test_unstable_fine_substep_exits_2(self, capsys):

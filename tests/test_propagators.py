@@ -200,7 +200,7 @@ class TestRK4Macro:
     )
     def test_accepted_for_linear_and_nonlinear(self, system):
         prop = make_macro(system, 0.1, kind="rk4")
-        assert prop.kind == "rk4"
+        assert isinstance(prop, RK4Macro)
         assert prop.h == pytest.approx(DEFAULT_MACRO_SUBSTEP, rel=1e-9)
 
     def test_blow_up_raises(self):
