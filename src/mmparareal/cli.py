@@ -97,6 +97,20 @@ class ExperimentSpec:
     quadratic_lambda: float
 
 
+def _int_value(name: str, value) -> int:
+    # argparse has already typed a flag; a config value must be a JSON
+    # integer, so 1.7, true and "2" are rejected rather than truncated.
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CliError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _float_value(name: str, value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise CliError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_float_list(value, what: str) -> list:
     if isinstance(value, str):
         parts = [s for s in value.split(",") if s.strip()]
@@ -104,7 +118,9 @@ def _parse_float_list(value, what: str) -> list:
             value = [float(s) for s in parts]
         except ValueError as exc:
             raise CliError(f"could not parse {what}: {exc}") from exc
-    value = [float(v) for v in value]
+    if not isinstance(value, list):
+        raise CliError(f"{what} must be a list of numbers, got {value!r}")
+    value = [_float_value(what, v) for v in value]
     if not value:
         raise CliError(f"{what} must contain at least one value")
     if any(not (v > 0) for v in value):
@@ -151,7 +167,7 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
         raise CliError(f"unknown system {system!r} (choose from {SYSTEMS})")
     linear = system == "toy"
 
-    algorithm = int(pick("algorithm", 2))
+    algorithm = _int_value("algorithm", pick("algorithm", 2))
     if algorithm not in (1, 2, 3):
         raise CliError("algorithm must be 1, 2, or 3")
     if algorithm == 3 and not linear:
@@ -168,8 +184,8 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     default_eps = [1e-2] if args.command == "speedup" else DEFAULT_EPS_GRID
     epsilons = _parse_float_list(pick("epsilons", default_eps), "--epsilons")
 
-    dt = float(pick("dt", 0.1))
-    t_final = float(pick("T", 10.0))
+    dt = _float_value("dt", pick("dt", 0.1))
+    t_final = _float_value("T", pick("T", 10.0))
     if not (dt > 0 and t_final > 0):
         raise CliError("dt and T must be positive")
 
@@ -179,7 +195,9 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
             dts if dts is not None else [0.2, 0.1, 0.05, 0.025], "--dts"
         )
 
-    kmax = int(pick("kmax", _default_kmax(args.command, algorithm, coarse)))
+    kmax = _int_value(
+        "kmax", pick("kmax", _default_kmax(args.command, algorithm, coarse))
+    )
     if kmax < 0:
         raise CliError("kmax must be >= 0")
 
@@ -188,17 +206,20 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
         # Sized so one speedup task is a visible chunk of work.
         substep = 2e-5 if args.command == "speedup" else 1e-5
     if substep is not None:
-        substep = float(substep)
+        substep = _float_value("delta_t_fine", substep)
         if not (substep > 0):
             raise CliError("delta-t-fine must be positive")
 
-    u0 = [float(v) for v in config.get("u0", DEFAULT_U0[system])]
+    u0 = config.get("u0", DEFAULT_U0[system])
+    if not isinstance(u0, list):
+        raise CliError(f"u0 must be a list of numbers, got {u0!r}")
+    u0 = [_float_value("u0", v) for v in u0]
 
     workers = pick("workers", None)
     if workers is None:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else (os.cpu_count() or 1)
-    workers = int(workers)
+    workers = _int_value("workers", workers)
     if workers < 1:
         raise CliError("workers must be >= 1")
 
@@ -222,7 +243,9 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
         out=str(pick("out", "-")),
         workers=workers,
         all_times=all_times,
-        quadratic_lambda=float(config.get("quadratic_lambda", 1.0)),
+        quadratic_lambda=_float_value(
+            "quadratic_lambda", config.get("quadratic_lambda", 1.0)
+        ),
     )
 
 

@@ -148,10 +148,11 @@ def init_sweep(config: PararealConfig) -> PararealRun:
     x = np.full((k_max + 1, n + 1, s), np.nan)
 
     u[0][0] = config.u0
-    x[0][0] = tset.restrict(config.u0)
+    x0 = x[0]
+    x0[0] = tset.restrict(config.u0)
     for j in range(n):
-        x[0][j + 1] = macro.step(x[0][j])
-    u[0][1:] = tset.lift(x[0][1:])
+        x0[j + 1] = macro.step(x0[j])
+    u[0][1:] = tset.lift(x0[1:])
 
     return PararealRun(
         config=config,
@@ -192,22 +193,24 @@ def parareal_iteration(run: PararealRun, k: int, workers: int = 1, pool=None):
     jumps = tset.restrict(ubar) - macro.step(run.x[k][:-1])
 
     # (2c) corrected sequential sweep, ascending n for determinism.
-    run.x[k + 1][0] = tset.restrict(config.u0)
+    x_new = run.x[k + 1]
+    x_new[0] = tset.restrict(config.u0)
     for j in range(n):
-        run.x[k + 1][j + 1] = macro.step(run.x[k + 1][j]) + jumps[j]
+        x_new[j + 1] = macro.step(x_new[j]) + jumps[j]
 
     # (2d) rebuild the full states.
-    run.u[k + 1][0] = config.u0
+    u_new = run.u[k + 1]
+    u_new[0] = config.u0
     variant = config.variant
     if variant is AlgorithmVariant.LIFTING:
-        run.u[k + 1][1:] = tset.lift(run.x[k + 1][1:])
+        u_new[1:] = tset.lift(x_new[1:])
     elif variant is AlgorithmVariant.MATCHING:
-        run.u[k + 1][1:] = tset.match(run.x[k + 1][1:], ubar)
+        u_new[1:] = tset.match(x_new[1:], ubar)
     else:  # DAE_COARSE: u[k+1][j+1] needs u[k+1][j], so it is sequential
         old_coarse = macro.step(tset.restrict(run.u[k][:-1]))
         for j in range(n):
-            delta = macro.step(tset.restrict(run.u[k + 1][j])) - old_coarse[j]
-            run.u[k + 1][j + 1] = ubar[j] + tset.lift(delta)
+            delta = macro.step(tset.restrict(u_new[j])) - old_coarse[j]
+            u_new[j + 1] = ubar[j] + tset.lift(delta)
     run.timings.sweep_wall.append(time.perf_counter() - t0)
 
     run.rows_filled = max(run.rows_filled, k + 2)

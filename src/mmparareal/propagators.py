@@ -8,17 +8,22 @@ the slow state X by dt:
 * forward-euler micro: dt/substep explicit Euler substeps of the full
   right-hand side; blow-up raises NonFiniteStateError instead of silently
   propagating NaN. A nonlinear system is stepped on a tuple of Python
-  floats: the same IEEE-754 double arithmetic as numpy's elementwise
-  operations, without numpy's per-call cost, which dominates on small
-  states. The endpoints are bitwise those of the array recurrence
-  u + h * micro_rhs(u). A linear system keeps the array loop: its rhs is a
-  BLAS matrix-vector product, which a Python-float sum does not reproduce
-  bitwise;
+  floats, calling micro_rhs(u, epsilon) directly once per substep: the
+  same IEEE-754 double arithmetic as numpy's elementwise operations,
+  without numpy's per-call cost, which dominates on small states. The
+  endpoints are bitwise those of the array recurrence u + h * micro_rhs(u).
+  A linear system keeps the array loop: its rhs is a BLAS matrix-vector
+  product, which a Python-float sum does not reproduce bitwise;
 * exact-linear macro: X -> exp(lam dt) X, with exp(lam dt) > 0 cached;
 * forward-euler macro: a single explicit Euler step of the slow model;
 * rk4 macro: classical Runge-Kutta 4 substeps of the slow model, at most
   DEFAULT_MACRO_SUBSTEP long, so the coarse step resolves the macro model
   (linear or nonlinear) and its error is the modeling error alone.
+
+Every step but the exact-linear macro one checks its endpoint with
+math.isfinite over u.ravel().tolist(), a fraction of the cost of
+np.all(np.isfinite(u)) on a state of a few components. Overflow inside a
+step runs on silently, so NonFiniteStateError is the only signal of a blow-up.
 
 Propagators are immutable after construction, cheap to pickle, and their
 step functions are pure, so they can be fanned out across worker processes.
@@ -48,13 +53,9 @@ class NonFiniteStateError(Exception):
 
 
 def _require_finite(u: np.ndarray, context: str) -> np.ndarray:
-    if not np.all(np.isfinite(u)):
+    if not all(map(math.isfinite, u.ravel().tolist())):
         raise NonFiniteStateError(f"non-finite state in {context}")
     return u
-
-
-def _call_with_eps(f, epsilon: float, u: np.ndarray) -> np.ndarray:
-    return f(u, epsilon)
 
 
 def _euler_array_substeps(rhs, h: float, n_sub: int, u: np.ndarray) -> np.ndarray:
@@ -65,14 +66,16 @@ def _euler_array_substeps(rhs, h: float, n_sub: int, u: np.ndarray) -> np.ndarra
     return u
 
 
-def _euler_float_substeps(rhs, h: float, n_sub: int, u: np.ndarray) -> np.ndarray:
+def _euler_float_substeps(
+    rhs, h: float, n_sub: int, u: np.ndarray, epsilon: float
+) -> np.ndarray:
     # Same operations in the same order as the array loop, on Python floats:
     # float overflow gives inf (not an exception), which the endpoint check
     # catches.
     v = tuple(u.tolist())
     update = lambda a, b: a + h * b
     for _ in range(n_sub):
-        v = tuple(map(update, v, rhs(v)))
+        v = tuple(map(update, v, rhs(v, epsilon)))
     return np.array(v)
 
 
@@ -102,12 +105,11 @@ class EulerMicro:
             )
         self.n_sub = n_sub
         self.h = self.dt / n_sub
+        self.rhs = system.micro_rhs
         if isinstance(system, LinearFastSlowSystem):
-            self.rhs = system.micro_rhs
             self._substeps = _euler_array_substeps
         else:
-            self.rhs = partial(_call_with_eps, system.micro_rhs, system.epsilon)
-            self._substeps = _euler_float_substeps
+            self._substeps = partial(_euler_float_substeps, epsilon=system.epsilon)
 
     def step(self, u: np.ndarray) -> np.ndarray:
         # self.rhs is read here, not bound at construction, so a wrapper
@@ -137,7 +139,10 @@ class EulerMacro:
         self.rhs = system.macro_rhs
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        return _require_finite(x + self.dt * self.rhs(x), "Euler macro step")
+        # A blow-up runs on to inf/NaN for the endpoint check, without warnings.
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = x + self.dt * self.rhs(x)
+        return _require_finite(x, "Euler macro step")
 
 
 class RK4Macro:
@@ -155,12 +160,13 @@ class RK4Macro:
 
     def step(self, x: np.ndarray) -> np.ndarray:
         h, rhs = self.h, self.rhs
-        for _ in range(self.n_sub):
-            k1 = rhs(x)
-            k2 = rhs(x + 0.5 * h * k1)
-            k3 = rhs(x + 0.5 * h * k2)
-            k4 = rhs(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(self.n_sub):
+                k1 = rhs(x)
+                k2 = rhs(x + 0.5 * h * k1)
+                k3 = rhs(x + 0.5 * h * k2)
+                k4 = rhs(x + h * k3)
+                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         # As for Euler: a non-finite substep leaves a non-finite endpoint.
         return _require_finite(x, "RK4 macro step")
 

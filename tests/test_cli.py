@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,17 +155,38 @@ class TestValidationErrors:
 
     @pytest.mark.parametrize(
         "config",
-        [{"dt": [0.1]}, {"u0": 5}, {"epsilons": 0.001}, {"all_times": "false"}],
-        ids=["dt-list", "u0-number", "epsilons-number", "all-times-string"],
+        [
+            {"dt": [0.1]},
+            {"u0": 5},
+            {"epsilons": 0.001},
+            {"all_times": "false"},
+            {"kmax": 1.7},
+            {"workers": 2.5},
+            {"algorithm": "2"},
+        ],
+        ids=[
+            "dt-list",
+            "u0-number",
+            "epsilons-number",
+            "all-times-string",
+            "kmax-float",
+            "workers-float",
+            "algorithm-string",
+        ],
     )
     def test_config_value_of_wrong_type(self, tmp_path, capsys, config):
         cfg = tmp_path / "typed.json"
         cfg.write_text(json.dumps(config))
-        argv = ["sweep-k", "--config", str(cfg), "--kmax", "1", "--workers", "1"]
-        if "epsilons" not in config:
-            argv += ["--epsilons", "1e-3"]
+        argv = ["sweep-k", "--config", str(cfg)]
+        # A flag would win over the config value under test.
+        for key, value in (("kmax", "1"), ("workers", "1"), ("epsilons", "1e-3")):
+            if key not in config:
+                argv += [f"--{key}", value]
         assert main(argv) == 1
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "error:" in err
+        (key,) = config
+        assert key in err
 
 
 class TestNumericalFailure:
@@ -174,6 +199,24 @@ class TestNumericalFailure:
             ])
         assert code == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_coarse_blow_up_exits_2_without_warning(self, tmp_path):
+        # From u0 = (-2, 4) the quadratic's Euler coarse orbit overflows in
+        # the init sweep. Run in a fresh interpreter, whose stderr shows any
+        # RuntimeWarning the way a user sees it.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u0": [-2.0, 4.0]}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmparareal.cli", "sweep-epsilon",
+             "--system", "quadratic", "--epsilons", "1e-3", "--kmax", "1",
+             "--workers", "1", "--config", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "numerical failure" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
 
 class TestConfigFile:

@@ -10,7 +10,7 @@ from mmparareal.engine import (
     parareal_iteration,
     run,
 )
-from mmparareal.systems import builtin_quadratic, builtin_toy
+from mmparareal.systems import builtin_brusselator, builtin_quadratic, builtin_toy
 
 U0 = np.array([1.0, 0.0, 0.0])
 
@@ -190,6 +190,35 @@ class TestWorkerInvariance:
         )
         r1 = run(cfg, workers=1)
         r2 = run(cfg, workers=workers)
+        assert np.array_equal(r1.u, r2.u)
+        assert np.array_equal(r1.x, r2.x)
+
+    @pytest.mark.parametrize(
+        "system, u0, variant",
+        [
+            (builtin_quadratic(1.0, 1e-2), [1.0, 0.0], AlgorithmVariant.LIFTING),
+            (builtin_brusselator(1e-2), [1.0, 1.0, 3.0], AlgorithmVariant.MATCHING),
+        ],
+        ids=["quadratic-LIFTING", "brusselator-MATCHING"],
+    )
+    def test_nonlinear_euler_lattices_identical_with_two_workers(
+        self, system, u0, variant
+    ):
+        # The nonlinear Euler micro propagator, with its float-loop kernel,
+        # pickled into the pool.
+        cfg = PararealConfig(
+            system=system,
+            t_final=1.0,
+            dt=0.1,
+            n_iterations=2,
+            variant=variant,
+            u0=np.array(u0),
+            micro_kind="euler",
+            macro_kind="euler",
+            substep=1e-3,
+        )
+        r1 = run(cfg, workers=1)
+        r2 = run(cfg, workers=2)
         assert np.array_equal(r1.u, r2.u)
         assert np.array_equal(r1.x, r2.x)
 

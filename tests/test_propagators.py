@@ -12,6 +12,7 @@ from mmparareal.propagators import (
     ExactLinearMacro,
     NonFiniteStateError,
     RK4Macro,
+    _require_finite,
     make_macro,
     make_micro,
     micro_reference_trajectory,
@@ -154,6 +155,23 @@ class TestMacroPropagators:
         with pytest.raises(ValueError):
             make_macro(builtin_quadratic(1.0, 1e-3), 0.1, kind="exact")
 
+    @pytest.mark.parametrize(
+        "system, x0",
+        [
+            (builtin_quadratic(1.0, 1e-3), [-1e160]),
+            (builtin_brusselator(1e-3), [1e160, 1e160]),
+        ],
+        ids=["quadratic", "brusselator"],
+    )
+    def test_euler_blow_up_raises_without_warning(self, system, x0):
+        # x * x overflows inside the macro right-hand side; the error must
+        # be the only signal.
+        prop = make_macro(system, 0.1, kind="euler")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError):
+                prop.step(np.array(x0))
+
 
 def _quadratic_closed_form(x0, t, lam=1.0):
     """Solution of dX/dt = -lam X - X^2 from X(0) = x0."""
@@ -206,9 +224,53 @@ class TestRK4Macro:
     def test_blow_up_raises(self):
         # From X0 = -10 the quadratic macro model blows up at t = ln(10/9).
         prop = RK4Macro(builtin_quadratic(1.0, 1e-3), 1.0)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             with pytest.raises(NonFiniteStateError):
                 prop.step(np.array([-10.0]))
+
+
+# Steps that check their endpoint, each with a finite state it accepts.
+CHECKED_STEPS = [
+    (make_micro(builtin_toy(1e-2), 0.1, kind="exact"), [1.0, 0.2, -0.1]),
+    (make_macro(builtin_brusselator(1e-2), 0.1, kind="euler"), [1.0, 2.0]),
+    (make_macro(builtin_brusselator(1e-2), 0.1, kind="rk4"), [1.0, 2.0]),
+]
+CHECKED_IDS = ["exact-micro", "euler-macro", "rk4-macro"]
+NONFINITE = pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+)
+
+
+class TestFinitenessCheck:
+    @NONFINITE
+    @pytest.mark.parametrize("prop, state", CHECKED_STEPS, ids=CHECKED_IDS)
+    def test_nonfinite_component_raises(self, prop, state, value):
+        for i in range(len(state)):
+            u = np.array(state)
+            u[i] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteStateError):
+                    prop.step(u)
+
+    @NONFINITE
+    @pytest.mark.parametrize(
+        "prop, state", CHECKED_STEPS[1:], ids=CHECKED_IDS[1:]
+    )
+    def test_nonfinite_row_of_batch_raises(self, prop, state, value):
+        rows = np.array([state, state])
+        assert np.all(np.isfinite(prop.step(rows)))
+        rows[1][0] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError):
+                prop.step(rows)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    def test_finite_state_passes_through(self, shape):
+        u = np.arange(6.0)[: math.prod(shape)].reshape(shape)
+        assert _require_finite(u, "test") is u
 
 
 class TestFactories:
