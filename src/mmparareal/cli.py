@@ -44,6 +44,8 @@ CSV_HEADER = (
 )
 
 SYSTEMS = ("toy", "quadratic", "brusselator")
+COARSE_KINDS = ("exact", "euler", "rk4")
+FINE_KINDS = ("exact", "euler")
 
 DEFAULT_U0 = {
     "toy": [1.0, 0.0, 0.0],
@@ -175,9 +177,11 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
 
     coarse = pick("coarse", "exact" if linear else "euler")
     fine = pick("fine", "exact" if linear else "euler")
-    for name, kind in (("coarse", coarse), ("fine", fine)):
-        if kind not in ("exact", "euler"):
-            raise CliError(f"{name} must be 'exact' or 'euler', got {kind!r}")
+    for name, kind, kinds in (
+        ("coarse", coarse, COARSE_KINDS), ("fine", fine, FINE_KINDS)
+    ):
+        if kind not in kinds:
+            raise CliError(f"{name} must be one of {kinds}, got {kind!r}")
         if kind == "exact" and not linear:
             raise CliError(f"exact {name} propagator needs the linear model")
 
@@ -386,8 +390,8 @@ def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--system", choices=SYSTEMS)
     common.add_argument("--algorithm", type=int)
-    common.add_argument("--coarse", choices=("exact", "euler"))
-    common.add_argument("--fine", choices=("exact", "euler"))
+    common.add_argument("--coarse", choices=COARSE_KINDS)
+    common.add_argument("--fine", choices=FINE_KINDS)
     common.add_argument("--epsilons", help="comma-separated epsilon values")
     common.add_argument("--dt", type=float)
     common.add_argument("--dts", help="comma-separated dt values (sweep-dt)")

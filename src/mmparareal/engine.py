@@ -10,8 +10,9 @@ Iteration k -> k+1 proceeds in the classic predictor-corrector shape:
 
   (2a) from row k, advance every interval independently: fine endpoints
        ubar[n+1] = F(u[k][n]) (the only parallel region: one task per
-       contiguous slab of the row, gathered in slab order) and coarse
-       predictions xbar[n+1] = C(x[k][n]);
+       contiguous slab of the row, each slab stepped by one call of the
+       micro propagator on its (n, d) row, gathered in slab order) and
+       coarse predictions xbar[n+1] = C(x[k][n]);
   (2b) jumps j[n+1] = restrict(ubar[n+1]) - xbar[n+1];
   (2c) sequential corrected sweep x[k+1][n+1] = C(x[k+1][n]) + j[n+1];
   (2d) rebuild full states, by variant:
@@ -30,9 +31,9 @@ composition lift . C . restrict; that identification only holds for the
 linear model, so the variant rejects nonlinear systems.
 
 Determinism: the fine stage is a pure map over contiguous slabs (one per
-worker, or the whole row without a pool) with an ordered gather, and every
-sweep reduces in ascending n, so lattices are bit-identical for any worker
-count.
+worker, or the whole row without a pool) with an ordered gather, a row step
+is bitwise the steps of its states one by one, and every sweep reduces in
+ascending n, so lattices are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -126,9 +127,10 @@ class PararealRun:
 
 
 def _fine_slab(prop, states):
-    """Fine endpoints of a slab of states, in order, and the slab's seconds."""
+    """Fine endpoints of a slab of states, stepped as one row, and the
+    slab's seconds."""
     t0 = time.perf_counter()
-    ends = [prop.step(u) for u in states]
+    ends = prop.step(states)
     return ends, time.perf_counter() - t0
 
 
@@ -186,7 +188,7 @@ def parareal_iteration(run: PararealRun, k: int, workers: int = 1, pool=None):
     results = list(mapper(partial(_fine_slab, micro), slabs))
     run.timings.fine_wall.append(time.perf_counter() - t0)
     run.timings.fine_task_seconds.append(sum(sec for _, sec in results))
-    ubar = np.array([v for ends, _ in results for v in ends])
+    ubar = np.concatenate([ends for ends, _ in results])
 
     t0 = time.perf_counter()
     # (2a, coarse part) and (2b): jumps[j] is the jump on interval j+1.

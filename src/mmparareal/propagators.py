@@ -1,27 +1,32 @@
 """Time-advance maps over one coupling interval.
 
 Micro propagators advance the full state u by dt, macro propagators advance
-the slow state X by dt:
+the slow state X by dt. Every step takes one state, shape (d,), or a row of
+them, shape (n, d), and maps a row state by state:
 
 * exact-linear micro: u -> exp(B dt) u with the exponential cached at
-  construction (the iteration applies it N*K times);
+  construction (the iteration applies it N*K times); one np.matmul steps a
+  row, bitwise equal to phi @ u on each of its states;
 * forward-euler micro: dt/substep explicit Euler substeps of the full
   right-hand side; blow-up raises NonFiniteStateError instead of silently
-  propagating NaN. A nonlinear system is stepped on a tuple of Python
-  floats, calling micro_rhs(u, epsilon) directly once per substep: the
-  same IEEE-754 double arithmetic as numpy's elementwise operations,
-  without numpy's per-call cost, which dominates on small states. The
-  endpoints are bitwise those of the array recurrence u + h * micro_rhs(u).
-  A linear system keeps the array loop: its rhs is a BLAS matrix-vector
-  product, which a Python-float sum does not reproduce bitwise;
+  propagating NaN, and a substep past explicit Euler's stability limit is
+  rejected at construction. A nonlinear system is stepped by one loop,
+  v = tuple(map(update, v, micro_rhs(v, epsilon))), on d components: Python
+  floats for one state, (n,) columns for a row. Both give the same
+  IEEE-754 double arithmetic, elementwise, as numpy's array recurrence
+  u + h * micro_rhs(u), so a row's endpoints are bitwise those of its
+  states stepped one by one; the float loop avoids numpy's per-call cost
+  on a single small state, and the column loop pays it once per substep
+  for the whole row. A linear system keeps the array loop, one state at a
+  time: its rhs is a BLAS matrix-vector product;
 * exact-linear macro: X -> exp(lam dt) X, with exp(lam dt) > 0 cached;
 * forward-euler macro: a single explicit Euler step of the slow model;
 * rk4 macro: classical Runge-Kutta 4 substeps of the slow model, at most
   DEFAULT_MACRO_SUBSTEP long, so the coarse step resolves the macro model
   (linear or nonlinear) and its error is the modeling error alone.
 
-Every step but the exact-linear macro one checks its endpoint with
-math.isfinite over u.ravel().tolist(), a fraction of the cost of
+Every step but the exact-linear macro one checks its endpoint, once per
+call, with math.isfinite over u.ravel().tolist(), a fraction of the cost of
 np.all(np.isfinite(u)) on a state of a few components. Overflow inside a
 step runs on silently, so NonFiniteStateError is the only signal of a blow-up.
 
@@ -59,6 +64,12 @@ def _require_finite(u: np.ndarray, context: str) -> np.ndarray:
 
 
 def _euler_array_substeps(rhs, h: float, n_sub: int, u: np.ndarray) -> np.ndarray:
+    if u.ndim > 1:
+        # A row, one state at a time: rhs is a matrix-vector product.
+        out = np.empty_like(u)
+        for i, state in enumerate(u):
+            out[i] = _euler_array_substeps(rhs, h, n_sub, state)
+        return out
     # A blow-up runs on to inf/NaN for the endpoint check, without warnings.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_sub):
@@ -69,14 +80,16 @@ def _euler_array_substeps(rhs, h: float, n_sub: int, u: np.ndarray) -> np.ndarra
 def _euler_float_substeps(
     rhs, h: float, n_sub: int, u: np.ndarray, epsilon: float
 ) -> np.ndarray:
-    # Same operations in the same order as the array loop, on Python floats:
-    # float overflow gives inf (not an exception), which the endpoint check
+    # Same operations in the same order as the array loop, on the d
+    # components: Python floats for one state, (n,) columns for a row.
+    # Overflow gives inf (not an exception), which the endpoint check
     # catches.
-    v = tuple(u.tolist())
+    v = tuple(u.tolist()) if u.ndim == 1 else tuple(u.T)
     update = lambda a, b: a + h * b
-    for _ in range(n_sub):
-        v = tuple(map(update, v, rhs(v, epsilon)))
-    return np.array(v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(n_sub):
+            v = tuple(map(update, v, rhs(v, epsilon)))
+    return np.array(v) if u.ndim == 1 else np.stack(v, axis=-1)
 
 
 class ExactLinearMicro:
@@ -87,7 +100,24 @@ class ExactLinearMicro:
         self.phi = linalg.mat_exp(system.b_matrix() * self.dt)
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        return _require_finite(self.phi @ u, "exact micro step")
+        return _require_finite(
+            np.matmul(self.phi, u[..., None])[..., 0], "exact micro step"
+        )
+
+
+def _stable_substep_limit(system) -> float:
+    """Supremum of the explicit Euler substeps h with |1 + h lam| < 1 for
+    every decaying mode lam of the fast-slow system.
+
+    A linear system's modes are the eigenvalues of B, and |1 + h lam| < 1
+    exactly when h < -2 Re(lam) / |lam|^2. A nonlinear system's fast block
+    relaxes at rate 1/epsilon, so its limit is 2 epsilon.
+    """
+    if isinstance(system, NonlinearFastSlowSystem):
+        return 2.0 * system.epsilon
+    lam = linalg.eigenvalues(system.b_matrix())
+    lam = lam[lam.real < 0]
+    return float(np.min(-2.0 * lam.real / np.abs(lam) ** 2, initial=math.inf))
 
 
 class EulerMicro:
@@ -105,6 +135,12 @@ class EulerMicro:
             )
         self.n_sub = n_sub
         self.h = self.dt / n_sub
+        h_max = _stable_substep_limit(system)
+        if not self.h < h_max:
+            raise ValueError(
+                f"Euler substep {self.h!r} is past the fast block's stability "
+                f"limit: stable substeps are below {h_max:.6g}"
+            )
         self.rhs = system.micro_rhs
         if isinstance(system, LinearFastSlowSystem):
             self._substeps = _euler_array_substeps

@@ -125,13 +125,14 @@ class NonlinearFastSlowSystem:
     row of them, and must act on the last axis row by row (x[..., 0], not
     x[0]); construction probes both with a 2-row batch.
 
-    micro_rhs must accept u as any length-d sequence and return d numbers:
-    the Euler micro propagator calls it with a tuple of d Python floats on
-    every substep (as does the probe at construction), other code may call
-    it with float arrays. Write it with + - * / on the components, as the
-    built-ins do. Python float overflow then yields inf, which the
-    propagator's endpoint check catches, whereas float ** raises
-    OverflowError instead.
+    micro_rhs(u, epsilon) takes u as a tuple of d components and returns
+    d components: d Python floats for one state, d (n,) float arrays, the
+    component columns, for a row of n states. The Euler micro propagator
+    calls it both ways on every substep, and construction probes both,
+    requiring each result column to equal the result for its row. Write it
+    with + - * / on the components only, as the built-ins do: math.exp or
+    float() fail on a column, and float ** raises OverflowError where
+    + - * / overflow to inf, which the propagator's endpoint check catches.
     """
 
     slow_dim: int
@@ -151,7 +152,7 @@ class NonlinearFastSlowSystem:
             raise ValueError("epsilon must be positive")
         # Probe the callables once: lift must be a right inverse of the
         # slow-part restriction, and both rhs must return finite derivatives.
-        # micro_rhs is probed with the tuple the Euler propagator passes, so
+        # micro_rhs is probed with the tuples the Euler propagator passes, so
         # sequence arithmetic such as u + u (concatenation) is caught here
         # rather than truncated silently by the substep loop.
         probe = np.ones(self.slow_dim)
@@ -178,6 +179,22 @@ class NonlinearFastSlowSystem:
                 batch = None
             if not np.array_equal(batch, [f(row) for row in rows]):
                 raise ValueError(f"{name} must map a (n, slow_dim) array row by row")
+        # A rhs built with math.exp or float() accepts floats but not the
+        # component columns of a row.
+        states = lifted * np.array([[1.0], [2.0]])
+        try:
+            columns = np.stack(
+                np.broadcast_arrays(*self.micro_rhs(tuple(states.T), self.epsilon)),
+                axis=-1,
+            )
+        except (IndexError, TypeError, ValueError):
+            columns = None
+        per_state = [self.micro_rhs(tuple(u.tolist()), self.epsilon) for u in states]
+        if not np.array_equal(columns, per_state):
+            raise ValueError(
+                "micro_rhs must map a tuple of d (n,) component columns "
+                "column by column"
+            )
 
     @property
     def dim(self) -> int:

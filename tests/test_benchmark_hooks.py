@@ -22,3 +22,44 @@ def test_tracer_installs_on_the_package():
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+TRACED_RUN = """
+import numpy as np
+from mmparareal import engine
+from mmparareal.engine import AlgorithmVariant, PararealConfig
+from mmparareal.systems import builtin_quadratic
+import tracing
+
+config = PararealConfig(
+    system=builtin_quadratic(1.0, 1e-2), t_final=1.0, dt=0.1, n_iterations=2,
+    variant=AlgorithmVariant.MATCHING, u0=np.array([1.0, 0.0]),
+    micro_kind="euler", macro_kind="euler", substep=1e-3,
+)
+plain = {w: engine.run(config, workers=w) for w in (1, 2)}
+tracer = tracing.Tracer()
+tracing.install(tracer)
+for w in (1, 2):
+    traced = engine.run(config, workers=w)
+    for name in ("u", "x", "reference"):
+        assert np.array_equal(getattr(traced, name), getattr(plain[w], name)), (w, name)
+    assert np.array_equal(traced.u, plain[1].u), w
+assert tracer.counters["euler_micro"].calls > 0
+assert tracer.computed["euler_micro"].calls > 0
+"""
+
+
+def test_traced_run_leaves_lattices_unchanged():
+    # The tracer wraps the micro propagator in a proxy that pickles as the
+    # bare propagator; a row passing through it, in process or in pool
+    # workers, must give the untraced run's lattices bit for bit.
+    env = {
+        **os.environ,
+        "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]),
+        "PYTHONDONTWRITEBYTECODE": "1",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -12,7 +12,7 @@ import pytest
 from mmparareal import analysis
 from mmparareal.cli import CSV_HEADER, main
 from mmparareal.engine import AlgorithmVariant
-from mmparareal.systems import builtin_toy
+from mmparareal.systems import builtin_quadratic, builtin_toy
 
 TOY_U0 = np.array([1.0, 0.0, 0.0])
 
@@ -83,6 +83,28 @@ class TestCsvShape:
                         + [repr(float(v)) for v in errors]
                     ))
         assert text == "\n".join(expected) + "\n"
+
+
+def test_rk4_coarse_writes_the_library_rows(tmp_path):
+    code, text = run_to_file(
+        tmp_path, "rk4.csv", "sweep-epsilon", "--system", "quadratic",
+        "--coarse", "rk4", "--epsilons", "1e-2", "--T", "1", "--kmax", "2",
+        "--workers", "1",
+    )
+    assert code == 0
+    table = analysis.experiment_table(
+        builtin_quadratic(1.0, 1e-2), "quadratic", AlgorithmVariant.MATCHING,
+        coarse="rk4", fine="euler", dt=0.1, t_final=1.0, kmax=2,
+        u0=np.array([1.0, 0.0]), substep=1e-5,
+    )
+    rows = rows_of(text)
+    assert [r["coarse"] for r in rows] == ["rk4"] * 3
+    for k, r in enumerate(rows):
+        assert r["k"] == str(k)
+        assert float(r["rel_micro_error"]) == table.rel_micro[k, -1]
+        assert float(r["rel_macro_error"]) == table.rel_macro[k, -1]
+        assert float(r["abs_micro_error"]) == table.abs_micro[k, -1]
+        assert float(r["abs_macro_error"]) == table.abs_macro[k, -1]
 
 
 class TestDeterminism:
@@ -190,15 +212,48 @@ class TestValidationErrors:
 
 
 class TestNumericalFailure:
-    def test_unstable_fine_substep_exits_2(self, capsys):
-        # delta-t-fine far beyond the fast-block stability limit.
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = main([
-                "sweep-epsilon", "--fine", "euler", "--delta-t-fine", "0.05",
-                "--epsilons", "1e-5", "--kmax", "1", "--workers", "1",
-            ])
-        assert code == 2
-        assert "numerical failure" in capsys.readouterr().err
+    def test_unstable_fine_substep_exits_1(self, capsys):
+        # delta-t-fine far beyond the fast-block stability limit is rejected
+        # before any stepping, naming the largest stable substep.
+        code = main([
+            "sweep-epsilon", "--fine", "euler", "--delta-t-fine", "0.05",
+            "--epsilons", "1e-5", "--kmax", "1", "--workers", "1",
+        ])
+        assert code == 1
+        assert "stable substeps are below 4.00016e-05" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("epsilon", ["5e-6", "4e-6"])
+    def test_substep_at_stability_edge_exits_1(self, capsys, epsilon, workers):
+        # The default substep 1e-5 is 2 epsilon at 5e-6: explicit Euler's
+        # edge, where the reference itself was wrong (rel_micro_error 0.94
+        # at k=0) and the run exited 0. At 4e-6 it overflowed, exit 2.
+        code = main([
+            "sweep-epsilon", "--system", "quadratic", "--epsilons", epsilon,
+            "--T", "0.1", "--workers", workers, "--out", os.devnull,
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"stable substeps are below {2 * float(epsilon):g}" in err
+
+    def test_fine_blow_up_exits_2_without_warning(self, tmp_path):
+        # From u0 = (-2, 4) the quadratic's slow model blows up at t = ln 2:
+        # with T = 0.8 the Euler coarse orbit stays finite for its 8 steps,
+        # and the fine reference overflows in interval 8, at a substep the
+        # stability guard admits.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u0": [-2.0, 4.0]}))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmparareal.cli", "sweep-epsilon",
+             "--system", "quadratic", "--epsilons", "1e-3", "--T", "0.8",
+             "--kmax", "1", "--workers", "1", "--config", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "NonFiniteStateError: non-finite state in Euler micro step" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
 
     def test_coarse_blow_up_exits_2_without_warning(self, tmp_path):
         # From u0 = (-2, 4) the quadratic's Euler coarse orbit overflows in

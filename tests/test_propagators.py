@@ -90,24 +90,50 @@ class TestEulerMicro:
             EulerMicro(builtin_toy(1e-2), dt=0.1, substep=-0.1)
 
     @pytest.mark.parametrize(
-        "system, u0, substep",
+        "system, substep, limit",
         [
-            (builtin_toy(1e-4), [1.0, 0.0, 0.0], 0.05),
-            (builtin_quadratic(1.0, 1e-3), [1.0, 0.5], 1e-2),
-            (builtin_brusselator(1e-3), [1.0, 2.0, 2.5], 1e-2),
+            (builtin_toy(1e-4), 0.05, 4.0e-4),
+            (builtin_quadratic(1.0, 1e-3), 1e-2, 2e-3),
+            (builtin_brusselator(1e-3), 1e-2, 2e-3),
         ],
         ids=["toy", "quadratic", "brusselator"],
     )
-    def test_unstable_substep_raises_without_warning(self, system, u0, substep):
-        # substep far above the 2 eps / lambda stability limit of the fast
-        # block (h / eps = 10 for the nonlinear systems): the fast component
-        # overflows. The error must be the only signal, with no overflow
-        # warning on the way.
-        prop = EulerMicro(system, dt=10.0, substep=substep)
+    def test_unstable_substep_raises_without_warning(self, system, substep, limit):
+        # substep far above the stability limit of the fast block (h / eps
+        # = 10 for the nonlinear systems): rejected before any stepping,
+        # with the largest stable substep named and no warning on the way.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="stable substeps are below") as info:
+                EulerMicro(system, dt=10.0, substep=substep)
+        named = float(str(info.value).rsplit(" ", 1)[1])
+        assert named == pytest.approx(limit, rel=0.01)
+
+    @pytest.mark.parametrize(
+        "system, ratio",
+        [(builtin_toy(1e-3), 4.016), (builtin_quadratic(1.0, 1e-3), 2.0)],
+        ids=["toy", "quadratic"],
+    )
+    def test_stability_limit_is_sharp(self, system, ratio):
+        # Explicit Euler is stable for |1 + h lam| < 1: the toy's fastest
+        # mode allows h < 4.016 eps, the nonlinear fast block h < 2 eps.
+        eps = system.epsilon
+        EulerMicro(system, dt=0.999 * ratio * eps, substep=0.999 * ratio * eps)
+        with pytest.raises(ValueError):
+            EulerMicro(system, dt=1.001 * ratio * eps, substep=1.001 * ratio * eps)
+
+    def test_blow_up_past_stability_check_raises_without_warning(self):
+        # A substep the guard admits: from u0 = (-2, 4) the quadratic's slow
+        # model dx/dt = -x - x^2 blows up at t = ln 2, so the fine
+        # trajectory overflows in interval 8, with the error as the only
+        # signal.
+        prop = EulerMicro(builtin_quadratic(1.0, 1e-3), dt=0.1, substep=1e-5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = micro_reference_trajectory(prop, np.array([-2.0, 4.0]), 7)
+            assert np.all(np.isfinite(traj))
             with pytest.raises(NonFiniteStateError):
-                prop.step(np.array(u0))
+                prop.step(traj[-1])
 
     @pytest.mark.parametrize(
         "system",
@@ -129,6 +155,53 @@ class TestEulerMicro:
             for _ in range(prop.n_sub):
                 u = u + prop.h * np.asarray(system.micro_rhs(u, system.epsilon))
             assert np.array_equal(prop.step(u0), u)
+
+
+def _seeded_states(system, n, seed):
+    """n states, alternately on and off the slow manifold."""
+    rng = np.random.default_rng(seed)
+    on = system.lift_map(rng.uniform(0.2, 2.0, (n, system.slow_dim)))
+    off = rng.uniform(0.2, 3.0, (n, system.dim))
+    return np.where((np.arange(n) % 2 == 0)[:, None], on, off)
+
+
+ROW_KERNELS = {
+    "toy-exact": (builtin_toy(1e-3), "exact"),
+    "toy-euler": (builtin_toy(1e-3), "euler"),
+    "quadratic-euler": (builtin_quadratic(1.0, 1e-3), "euler"),
+    "brusselator-euler": (builtin_brusselator(1e-3), "euler"),
+}
+
+
+class TestRowStep:
+    @pytest.mark.parametrize("n", [1, 7, 25, 100])
+    @pytest.mark.parametrize("kernel", list(ROW_KERNELS))
+    def test_row_step_equals_stacked_state_steps(self, kernel, n):
+        system, kind = ROW_KERNELS[kernel]
+        prop = make_micro(system, 1e-3, kind=kind, substep=1e-5)
+        states = _seeded_states(system, n, seed=n)
+        want = np.stack([prop.step(u) for u in states])
+        got = prop.step(states)
+        assert got.shape == states.shape
+        assert np.array_equal(got, want)
+
+    def test_empty_slab(self):
+        system, kind = ROW_KERNELS["quadratic-euler"]
+        prop = make_micro(system, 1e-3, kind=kind, substep=1e-5)
+        assert prop.step(np.empty((0, 2))).shape == (0, 2)
+
+    def test_row_with_one_blow_up_raises_without_warning(self):
+        # Row 13 starts at x = -50 on the slow manifold; the slow model
+        # dx/dt = -x - x^2 blows up from there at t = ln(50/49) < dt.
+        system = builtin_quadratic(1.0, 1e-3)
+        prop = EulerMicro(system, dt=0.1, substep=1e-5)
+        states = system.lift_map(np.linspace(0.2, 2.0, 25)[:, None])
+        states[13] = system.lift_map(np.array([-50.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(np.isfinite(prop.step(np.delete(states, 13, axis=0))))
+            with pytest.raises(NonFiniteStateError):
+                prop.step(states)
 
 
 class TestMacroPropagators:
@@ -255,9 +328,7 @@ class TestFinitenessCheck:
                     prop.step(u)
 
     @NONFINITE
-    @pytest.mark.parametrize(
-        "prop, state", CHECKED_STEPS[1:], ids=CHECKED_IDS[1:]
-    )
+    @pytest.mark.parametrize("prop, state", CHECKED_STEPS, ids=CHECKED_IDS)
     def test_nonfinite_row_of_batch_raises(self, prop, state, value):
         rows = np.array([state, state])
         assert np.all(np.isfinite(prop.step(rows)))

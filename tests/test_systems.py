@@ -159,6 +159,39 @@ class TestNonlinearValidation:
                 epsilon=1e-3,
             )
 
+    @pytest.mark.parametrize(
+        "micro_rhs",
+        [
+            lambda u, eps: (-u[0], (math.exp(u[0]) - u[1]) / eps),
+            lambda u, eps: (-u[0], (float(u[0]) - u[1]) / eps),
+            lambda u, eps: (-u[0], (u[0] if u[0] > 0 else -u[0]) - u[1]),
+        ],
+        ids=["math.exp", "float", "branch"],
+    )
+    def test_per_state_micro_rhs_is_rejected(self, micro_rhs):
+        # Each works on a tuple of floats but not on the component columns
+        # of a row, as the Euler propagator passes them.
+        with pytest.raises(ValueError, match="micro_rhs"):
+            NonlinearFastSlowSystem(
+                slow_dim=1,
+                fast_dim=1,
+                micro_rhs=micro_rhs,
+                macro_rhs=lambda x: -x,
+                lift_map=lambda x: np.concatenate([x, np.zeros_like(x)], axis=-1),
+                epsilon=1e-3,
+            )
+
+    def test_micro_rhs_with_constant_component_is_accepted(self):
+        system = NonlinearFastSlowSystem(
+            slow_dim=1,
+            fast_dim=1,
+            micro_rhs=lambda u, eps: (1.0, -u[1] / eps),
+            macro_rhs=lambda x: np.ones_like(x),
+            lift_map=lambda x: np.concatenate([x, np.zeros_like(x)], axis=-1),
+            epsilon=1e-3,
+        )
+        assert system.dim == 2
+
     def test_per_state_macro_rhs_is_rejected(self):
         # On a row of slow states, x[0] is the first state: row 0's
         # derivative would be broadcast over the whole row.
