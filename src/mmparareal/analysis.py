@@ -61,17 +61,25 @@ class ErrorTable:
         raise ValueError(f"which must be 'macro' or 'micro', got {which!r}")
 
 
-def compute_errors(run: PararealRun, system_id: str = "") -> ErrorTable:
-    """Error lattices of a completed run against its reference trajectory."""
+def compute_errors(
+    run: PararealRun, system_id: str = "", member: Optional[int] = None
+) -> ErrorTable:
+    """Error lattices of a completed run against its reference trajectory;
+    for a grid run, those of the member at index ``member``."""
     if run.reference is None:
         raise ValueError("run has no reference trajectory")
     config = run.config
-    s = config.system.slow_dim
-    ref = run.reference
+    if (member is None) != (config.members is None):
+        raise ValueError("a member index is needed for a grid run, and only then")
+    system, u, x, ref = config.system, run.u, run.x, run.reference
+    if member is not None:
+        system = config.members[member]
+        u, x, ref = u[:, :, member], x[:, :, member], ref[:, member]
+    s = system.slow_dim
     ref_slow = ref[:, :s]
 
-    e = run.u - ref[None, :, :]
-    big_e = run.x - ref_slow[None, :, :]
+    e = u - ref[None, :, :]
+    big_e = x - ref_slow[None, :, :]
     abs_micro = np.linalg.norm(e, axis=2)
     abs_macro = np.linalg.norm(big_e, axis=2)
 
@@ -80,7 +88,7 @@ def compute_errors(run: PararealRun, system_id: str = "") -> ErrorTable:
     if macro_denom == 0.0 or micro_denom == 0.0:
         raise ValueError("reference vanishes at the final time")
 
-    eps = float(getattr(config.system, "epsilon", math.nan))
+    eps = float(getattr(system, "epsilon", math.nan))
     return ErrorTable(
         system=system_id,
         variant=int(config.variant),

@@ -20,12 +20,9 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
-import multiprocessing
 import numpy as np
 
 from . import analysis, engine, verification
@@ -261,30 +258,31 @@ def _build_system(spec: ExperimentSpec, epsilon: float):
     return builtin_brusselator(epsilon)
 
 
-def _table_for(spec: ExperimentSpec, point):
-    epsilon, dt = point
-    return analysis.experiment_table(
-        _build_system(spec, epsilon),
-        spec.system,
-        AlgorithmVariant(spec.algorithm),
-        spec.coarse,
-        spec.fine,
-        dt,
-        spec.t_final,
-        spec.kmax,
-        np.array(spec.u0),
+def _config(spec: ExperimentSpec, dt: float, epsilon: float, **kw) -> PararealConfig:
+    return PararealConfig(
+        system=_build_system(spec, epsilon),
+        t_final=spec.t_final,
+        dt=dt,
+        n_iterations=spec.kmax,
+        variant=AlgorithmVariant(spec.algorithm),
+        u0=np.array(spec.u0),
+        micro_kind=spec.fine,
+        macro_kind=spec.coarse,
         substep=spec.substep,
+        **kw,
     )
 
 
-def _map_points(func, points, workers: int):
-    """Ordered map over sweep points, one process per point if requested."""
-    points = list(points)
-    if workers > 1 and len(points) > 1:
-        ctx = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as pool:
-            return list(pool.map(func, points))
-    return [func(p) for p in points]
+def _group_tables(spec: ExperimentSpec, dt: float, epsilons) -> list:
+    """The error tables of one dt group, from one engine run over its
+    epsilons; the run's lattices are dropped on return."""
+    run = engine.run(
+        _config(spec, dt, epsilons[0], epsilons=epsilons), workers=spec.workers
+    )
+    return [
+        analysis.compute_errors(run, spec.system, member=i)
+        for i in range(len(epsilons))
+    ]
 
 
 def _emit_tables(tables, spec: ExperimentSpec) -> str:
@@ -328,17 +326,19 @@ def _print_metadata(spec: ExperimentSpec):
 
 
 def cmd_sweep(spec: ExperimentSpec) -> int:
-    """sweep-epsilon, sweep-k and sweep-dt: one error table per grid point.
+    """sweep-epsilon, sweep-k and sweep-dt: one error table per grid point,
+    from one engine run per dt, whose fine stage --workers slabs.
 
-    The three differ only in their grid and default kmax: sweep-dt maps the
-    dt grid at the first epsilon, the other two the epsilon grid at --dt.
+    The three differ only in their grid and default kmax: sweep-dt runs each
+    dt of its grid at the first epsilon, the other two the epsilon grid at
+    --dt in one run.
     """
     _print_metadata(spec)
     if spec.command == "sweep-dt":
-        points = [(spec.epsilons[0], dt) for dt in spec.dts]
+        groups = [(dt, spec.epsilons[:1]) for dt in spec.dts]
     else:
-        points = [(epsilon, spec.dt) for epsilon in spec.epsilons]
-    tables = _map_points(partial(_table_for, spec), points, spec.workers)
+        groups = [(spec.dt, spec.epsilons)]
+    tables = [t for dt, eps in groups for t in _group_tables(spec, dt, eps)]
     _write_output(_emit_tables(tables, spec), spec.out)
     return 0
 
@@ -355,18 +355,7 @@ def cmd_verify() -> int:
 
 def cmd_speedup(spec: ExperimentSpec) -> int:
     _print_metadata(spec)
-    config = PararealConfig(
-        system=_build_system(spec, spec.epsilons[0]),
-        t_final=spec.t_final,
-        dt=spec.dt,
-        n_iterations=spec.kmax,
-        variant=AlgorithmVariant(spec.algorithm),
-        u0=np.array(spec.u0),
-        micro_kind=spec.fine,
-        macro_kind=spec.coarse,
-        substep=spec.substep,
-        with_reference=False,
-    )
+    config = _config(spec, spec.dt, spec.epsilons[0], with_reference=False)
     n = config.n_intervals
     if spec.kmax == 0:
         print(f"N = {n} intervals; no iterations, ideal speed-up undefined")

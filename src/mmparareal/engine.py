@@ -26,6 +26,15 @@ operations: the transfer maps and the macro step act on all N intervals at
 once. The sweep (2c) and the DAE_COARSE rebuild need the new value at n to
 compute n+1, so they stay sequential.
 
+An epsilon grid is one run: PararealConfig(epsilons=...) makes
+the members dataclasses.replace(system, epsilon=e), which share the slow
+model and the transfer maps, and the lattices get the grid as an axis after
+the interval axis, (K+1, N+1, E, d). Only the micro propagator sees epsilon;
+every other step acts on the last axis and broadcasts over the grid, so the
+sweep (2c) makes N Python steps for all E members at once, and member e's
+slice is bitwise the lattice of its own run. The reference is one
+sequential trajectory per member, mapped over the run's pool if it has one.
+
 DAE_COARSE is the plain parareal iteration whose coarse propagator is the
 composition lift . C . restrict; that identification only holds for the
 linear model, so the variant rejects nonlinear systems.
@@ -38,11 +47,13 @@ ascending n, so lattices are bit-identical for any worker count.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
+from itertools import repeat
 from typing import Optional
 
 import multiprocessing
@@ -75,6 +86,7 @@ class PararealConfig:
     macro_kind: str = "exact"
     substep: Optional[float] = None
     with_reference: bool = True
+    epsilons: Optional[tuple] = None
 
     def __post_init__(self):
         self.t_final = float(self.t_final)
@@ -103,6 +115,15 @@ class PararealConfig:
             raise ValueError(
                 "DAE_COARSE is only defined through the linear coarse model"
             )
+        # The grid members, or None for a plain run of config.system.
+        self.members = None
+        if self.epsilons is not None:
+            self.epsilons = tuple(float(e) for e in self.epsilons)
+            if not self.epsilons:
+                raise ValueError("epsilons must not be empty")
+            self.members = tuple(
+                dataclasses.replace(self.system, epsilon=e) for e in self.epsilons
+            )
 
 
 @dataclass
@@ -116,9 +137,9 @@ class RunTimings:
 @dataclass(eq=False)
 class PararealRun:
     config: PararealConfig
-    u: np.ndarray              # (K+1, N+1, d)
-    x: np.ndarray              # (K+1, N+1, s)
-    reference: Optional[np.ndarray]
+    u: np.ndarray              # (K+1, N+1, d), on a grid (K+1, N+1, E, d)
+    x: np.ndarray              # (K+1, N+1, s), on a grid (K+1, N+1, E, s)
+    reference: Optional[np.ndarray]  # (N+1, d), on a grid (N+1, E, d)
     timings: RunTimings
     micro_prop: object
     macro_prop: object
@@ -139,15 +160,20 @@ def init_sweep(config: PararealConfig) -> PararealRun:
 
     u[0][0] is the given initial condition, not its lifted slow part.
     """
-    system = config.system
-    micro = make_micro(system, config.dt, config.micro_kind, config.substep)
+    system, members = config.system, config.members
+    # Every member's micro propagator, and with it the Euler stiffness
+    # guard, is built before any step.
+    micro = make_micro(
+        system if members is None else members,
+        config.dt, config.micro_kind, config.substep,
+    )
     macro = make_macro(system, config.dt, config.macro_kind)
     tset = transfer_for(system)
 
     k_max, n = config.n_iterations, config.n_intervals
-    d, s = system.dim, system.slow_dim
-    u = np.full((k_max + 1, n + 1, d), np.nan)
-    x = np.full((k_max + 1, n + 1, s), np.nan)
+    grid = () if members is None else (len(members),)
+    u = np.full((k_max + 1, n + 1, *grid, system.dim), np.nan)
+    x = np.full((k_max + 1, n + 1, *grid, system.slow_dim), np.nan)
 
     u[0][0] = config.u0
     x0 = x[0]
@@ -218,20 +244,43 @@ def parareal_iteration(run: PararealRun, k: int, workers: int = 1, pool=None):
     run.rows_filled = max(run.rows_filled, k + 2)
 
 
+def _member_reference(prop, u0: np.ndarray, n: int) -> np.ndarray:
+    # pool.map pickles the function it maps by name, and a wrapper installed
+    # over micro_reference_trajectory (perfbench's tracer installs one)
+    # would not pickle; this function looks it up in the worker.
+    return micro_reference_trajectory(prop, u0, n)
+
+
+def _grid_reference(config: PararealConfig, pool) -> np.ndarray:
+    """(N+1, E, d): one sequential trajectory per member, by its own micro
+    propagator."""
+    props = [
+        make_micro(m, config.dt, config.micro_kind, config.substep)
+        for m in config.members
+    ]
+    mapper = map if pool is None else pool.map
+    trajectories = mapper(
+        _member_reference, props, repeat(config.u0), repeat(config.n_intervals)
+    )
+    return np.stack(list(trajectories), axis=1)
+
+
 def run(config: PararealConfig, workers: int = 1) -> PararealRun:
     """Init sweep, reference trajectory, then K correction iterations."""
     r = init_sweep(config)
 
-    if config.with_reference:
-        r.reference = micro_reference_trajectory(
-            r.micro_prop, config.u0, config.n_intervals
-        )
-
     pool = None
     try:
-        if workers > 1 and config.n_iterations > 0:
+        if workers > 1:
+            # Forks its workers on the first task, not here.
             ctx = multiprocessing.get_context("fork")
             pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+        if config.with_reference:
+            r.reference = (
+                micro_reference_trajectory(r.micro_prop, config.u0, config.n_intervals)
+                if config.members is None
+                else _grid_reference(config, pool)
+            )
         for k in range(config.n_iterations):
             parareal_iteration(r, k, workers=workers, pool=pool)
     finally:

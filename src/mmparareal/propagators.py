@@ -2,23 +2,34 @@
 
 Micro propagators advance the full state u by dt, macro propagators advance
 the slow state X by dt. Every step takes one state, shape (d,), or a row of
-them, shape (n, d), and maps a row state by state:
+them, shape (n, d), and maps a row state by state.
+
+A micro propagator can also be built for an epsilon grid: a tuple of E
+members of one system that differ only in epsilon. It steps (..., E, d)
+arrays, member e's state in slot e of axis -2, bitwise as member e's own
+propagator steps it. Only the micro propagators see epsilon; the macro
+steps act on the last axis and broadcast over the others.
 
 * exact-linear micro: u -> exp(B dt) u with the exponential cached at
   construction (the iteration applies it N*K times); one np.matmul steps a
-  row, bitwise equal to phi @ u on each of its states;
+  row, bitwise equal to phi @ u on each of its states. On a grid the
+  members' exponentials are stacked to (E, d, d);
 * forward-euler micro: dt/substep explicit Euler substeps of the full
   right-hand side; blow-up raises NonFiniteStateError instead of silently
   propagating NaN, and a substep past explicit Euler's stability limit is
-  rejected at construction. A nonlinear system is stepped by one loop,
+  rejected at construction, for every member of a grid before any step. A
+  nonlinear system is stepped by one loop,
   v = tuple(map(update, v, micro_rhs(v, epsilon))), on d components: Python
-  floats for one state, (n,) columns for a row. Both give the same
+  floats for one state, columns for a row, taken with
+  np.moveaxis(u, -1, 0); on a grid epsilon is the (E,) vector of the
+  members, broadcast against the (..., E) columns. All give the same
   IEEE-754 double arithmetic, elementwise, as numpy's array recurrence
   u + h * micro_rhs(u), so a row's endpoints are bitwise those of its
   states stepped one by one; the float loop avoids numpy's per-call cost
   on a single small state, and the column loop pays it once per substep
-  for the whole row. A linear system keeps the array loop, one state at a
-  time: its rhs is a BLAS matrix-vector product;
+  for the whole row. A linear system keeps the array loop, one interval
+  at a time: its rhs is a BLAS matrix-vector product, on a grid one
+  np.matmul by the members' stacked (E, d, d) B;
 * exact-linear macro: X -> exp(lam dt) X, with exp(lam dt) > 0 cached;
 * forward-euler macro: a single explicit Euler step of the slow model;
 * rk4 macro: classical Runge-Kutta 4 substeps of the slow model, at most
@@ -63,12 +74,27 @@ def _require_finite(u: np.ndarray, context: str) -> np.ndarray:
     return u
 
 
-def _euler_array_substeps(rhs, h: float, n_sub: int, u: np.ndarray) -> np.ndarray:
-    if u.ndim > 1:
-        # A row, one state at a time: rhs is a matrix-vector product.
+def _matvec(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """m @ u over the last axis of u, for a (d, d) m or a stacked (E, d, d)
+    one broadcast against (..., E, d) states."""
+    return np.matmul(m, u[..., None])[..., 0]
+
+
+def _stacked(f, system):
+    """f(system), or for a tuple of grid members their results stacked."""
+    if isinstance(system, tuple):
+        return np.stack([f(member) for member in system])
+    return f(system)
+
+
+def _euler_array_substeps(
+    rhs, h: float, n_sub: int, u: np.ndarray, state_ndim: int = 1
+) -> np.ndarray:
+    if u.ndim > state_ndim:
+        # A row, one interval at a time: rhs is a matrix-vector product.
         out = np.empty_like(u)
         for i, state in enumerate(u):
-            out[i] = _euler_array_substeps(rhs, h, n_sub, state)
+            out[i] = _euler_array_substeps(rhs, h, n_sub, state, state_ndim)
         return out
     # A blow-up runs on to inf/NaN for the endpoint check, without warnings.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -78,13 +104,14 @@ def _euler_array_substeps(rhs, h: float, n_sub: int, u: np.ndarray) -> np.ndarra
 
 
 def _euler_float_substeps(
-    rhs, h: float, n_sub: int, u: np.ndarray, epsilon: float
+    rhs, h: float, n_sub: int, u: np.ndarray, epsilon: float | np.ndarray
 ) -> np.ndarray:
     # Same operations in the same order as the array loop, on the d
-    # components: Python floats for one state, (n,) columns for a row.
+    # components: Python floats for one state, columns for a row (an (E,)
+    # epsilon broadcasts against the (..., E) columns of a grid).
     # Overflow gives inf (not an exception), which the endpoint check
     # catches.
-    v = tuple(u.tolist()) if u.ndim == 1 else tuple(u.T)
+    v = tuple(u.tolist()) if u.ndim == 1 else tuple(np.moveaxis(u, -1, 0))
     update = lambda a, b: a + h * b
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(n_sub):
@@ -93,16 +120,14 @@ def _euler_float_substeps(
 
 
 class ExactLinearMicro:
-    """u -> exp(B dt) u for a linear system."""
+    """u -> exp(B dt) u for a linear system or a tuple of grid members."""
 
-    def __init__(self, system: LinearFastSlowSystem, dt: float):
+    def __init__(self, system, dt: float):
         self.dt = float(dt)
-        self.phi = linalg.mat_exp(system.b_matrix() * self.dt)
+        self.phi = _stacked(lambda m: linalg.mat_exp(m.b_matrix() * self.dt), system)
 
     def step(self, u: np.ndarray) -> np.ndarray:
-        return _require_finite(
-            np.matmul(self.phi, u[..., None])[..., 0], "exact micro step"
-        )
+        return _require_finite(_matvec(self.phi, u), "exact micro step")
 
 
 def _stable_substep_limit(system) -> float:
@@ -121,7 +146,8 @@ def _stable_substep_limit(system) -> float:
 
 
 class EulerMicro:
-    """Explicit Euler substepping of the full right-hand side."""
+    """Explicit Euler substepping of the full right-hand side, for one
+    system or a tuple of grid members."""
 
     def __init__(self, system, dt: float, substep: float = DEFAULT_SUBSTEP):
         self.dt = float(dt)
@@ -135,17 +161,27 @@ class EulerMicro:
             )
         self.n_sub = n_sub
         self.h = self.dt / n_sub
-        h_max = _stable_substep_limit(system)
-        if not self.h < h_max:
-            raise ValueError(
-                f"Euler substep {self.h!r} is past the fast block's stability "
-                f"limit: stable substeps are below {h_max:.6g}"
+        grid = isinstance(system, tuple)
+        members = system if grid else (system,)
+        for member in members:
+            h_max = _stable_substep_limit(member)
+            if not self.h < h_max:
+                raise ValueError(
+                    f"Euler substep {self.h!r} is past the fast block's stability "
+                    f"limit: stable substeps are below {h_max:.6g}"
+                )
+        if isinstance(members[0], LinearFastSlowSystem):
+            # A grid state is the (E, d) states of the members, stepped by
+            # their stacked B.
+            self.rhs = (
+                partial(_matvec, _stacked(lambda m: m.b_matrix(), system))
+                if grid else system.micro_rhs
             )
-        self.rhs = system.micro_rhs
-        if isinstance(system, LinearFastSlowSystem):
-            self._substeps = _euler_array_substeps
+            self._substeps = partial(_euler_array_substeps, state_ndim=1 + grid)
         else:
-            self._substeps = partial(_euler_float_substeps, epsilon=system.epsilon)
+            self.rhs = members[0].micro_rhs
+            epsilon = _stacked(lambda m: m.epsilon, system)
+            self._substeps = partial(_euler_float_substeps, epsilon=epsilon)
 
     def step(self, u: np.ndarray) -> np.ndarray:
         # self.rhs is read here, not bound at construction, so a wrapper
@@ -208,9 +244,11 @@ class RK4Macro:
 
 
 def make_micro(system, dt: float, kind: str = "exact", substep=None):
-    """Micro propagator factory; kind is "exact" or "euler"."""
+    """Micro propagator factory; kind is "exact" or "euler". system is one
+    system or a tuple of grid members."""
     if kind == "exact":
-        if not isinstance(system, LinearFastSlowSystem):
+        first = system[0] if isinstance(system, tuple) else system
+        if not isinstance(first, LinearFastSlowSystem):
             raise ValueError("exact micro propagator requires the linear model")
         return ExactLinearMicro(system, dt)
     if kind == "euler":

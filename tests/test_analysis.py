@@ -133,6 +133,33 @@ class TestExperimentTable:
         assert all(b < a for a, b in zip(finals, finals[1:]))
 
 
+class TestGridErrors:
+    EPSILONS = [1e-3, 1e-4, 1e-2]
+
+    def grid_run(self):
+        return run(PararealConfig(
+            system=builtin_toy(1.0), t_final=10.0, dt=0.1, n_iterations=3,
+            variant=AlgorithmVariant.MATCHING, u0=TOY_U0, epsilons=self.EPSILONS,
+        ))
+
+    def test_member_tables_equal_experiment_table(self):
+        grid = self.grid_run()
+        for i, eps in enumerate(self.EPSILONS):
+            table = compute_errors(grid, "toy", member=i)
+            want = experiment_table(
+                builtin_toy(eps), "toy", AlgorithmVariant.MATCHING,
+                "exact", "exact", 0.1, 10.0, 3, TOY_U0,
+            )
+            assert table.epsilon == eps
+            for name in ("abs_macro", "abs_micro", "rel_macro", "rel_micro"):
+                assert np.array_equal(getattr(table, name), getattr(want, name))
+            assert table.micro_denominator == want.micro_denominator
+
+    def test_grid_run_needs_a_member_index(self):
+        with pytest.raises(ValueError):
+            compute_errors(self.grid_run())
+
+
 class TestEpsilonOrder:
     GRID = [1e-5, 1e-4, 1e-3]
 

@@ -10,7 +10,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tracer_installs_on_the_package():
+def run_with_tracing(code: str):
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]),
@@ -18,10 +18,14 @@ def test_tracer_installs_on_the_package():
         "PYTHONDONTWRITEBYTECODE": "1",
     }
     proc = subprocess.run(
-        [sys.executable, "-c", "import tracing; tracing.install(tracing.Tracer())"],
+        [sys.executable, "-c", code],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_tracer_installs_on_the_package():
+    run_with_tracing("import tracing; tracing.install(tracing.Tracer())")
 
 
 TRACED_RUN = """
@@ -53,13 +57,33 @@ def test_traced_run_leaves_lattices_unchanged():
     # The tracer wraps the micro propagator in a proxy that pickles as the
     # bare propagator; a row passing through it, in process or in pool
     # workers, must give the untraced run's lattices bit for bit.
-    env = {
-        **os.environ,
-        "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]),
-        "PYTHONDONTWRITEBYTECODE": "1",
-    }
-    proc = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
+    run_with_tracing(TRACED_RUN)
+
+
+TRACED_SWEEP = """
+import contextlib, io
+from mmparareal import cli
+import tracing
+
+def csv(workers):
+    out = io.StringIO()
+    argv = ["sweep-k", "--all-times", "--epsilons", "1e-3,1e-4,1e-5",
+            "--workers", str(workers)]
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return out.getvalue()
+
+plain = {w: csv(w) for w in (1, 2)}
+tracer = tracing.Tracer()
+tracing.install(tracer)
+for w in (1, 2):
+    assert csv(w) == plain[w] == plain[1], w
+assert tracer.counters["exact_micro"].calls > 0
+"""
+
+
+def test_traced_sweep_writes_the_untraced_csv():
+    # One engine run per sweep: the grid propagator, the per-epsilon
+    # reference propagators (mapped over the pool at 2 workers) and the
+    # transfer set all pass through the tracer's proxies.
+    run_with_tracing(TRACED_SWEEP)

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import os
@@ -12,6 +13,7 @@ import pytest
 from mmparareal import analysis
 from mmparareal.cli import CSV_HEADER, main
 from mmparareal.engine import AlgorithmVariant
+from mmparareal.propagators import EulerMicro
 from mmparareal.systems import builtin_quadratic, builtin_toy
 
 TOY_U0 = np.array([1.0, 0.0, 0.0])
@@ -130,6 +132,31 @@ class TestDeterminism:
         assert code_k == code_eps == 0
         assert by_k == by_eps
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("sweep-epsilon", "--system", "quadratic", "--epsilons",
+                 "1e-3,3e-4", "--T", "1", "--delta-t-fine", "1e-4", "--kmax", "2"),
+                "9319d3549cf22d60c9f0295f2068c421772d2d4bd407b67de5dfac842bfdf268",
+            ),
+            (
+                ("sweep-dt", "--system", "brusselator", "--epsilons", "1e-3",
+                 "--T", "1", "--delta-t-fine", "1e-4"),
+                "a6daa05e694451d3456494f2cf6a1d603addbf831090a2e3a72095053105d450",
+            ),
+        ],
+        ids=["quadratic-sweep-epsilon", "brusselator-sweep-dt"],
+    )
+    def test_nonlinear_sweep_bytes_pinned(self, tmp_path, argv, digest, workers):
+        # Euler fine and coarse on the nonlinear systems: elementwise
+        # IEEE-754 arithmetic only, so the digests hold on any host.
+        code, _ = run_to_file(tmp_path, "pinned.csv", *argv, "--workers", workers)
+        assert code == 0
+        data = (tmp_path / "pinned.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_metadata_stays_on_stderr(self, capsys):
         assert main(["sweep-epsilon", "--epsilons", "1e-3", "--kmax", "1",
                      "--workers", "1"]) == 0
@@ -221,6 +248,21 @@ class TestNumericalFailure:
         ])
         assert code == 1
         assert "stable substeps are below 4.00016e-05" in capsys.readouterr().err
+
+    def test_grid_guard_fires_before_any_step(self, monkeypatch, capsys):
+        # The stable epsilon comes first, but one run builds the propagator
+        # of every grid member before its first step, so 5e-6 is rejected
+        # without stepping 1e-3.
+        def no_step(self, u):
+            raise AssertionError("stepped before the stiffness guard")
+
+        monkeypatch.setattr(EulerMicro, "step", no_step)
+        code = main([
+            "sweep-epsilon", "--fine", "euler", "--delta-t-fine", "2.5e-5",
+            "--epsilons", "1e-3,5e-6", "--T", "1", "--workers", "1",
+        ])
+        assert code == 1
+        assert "stable substeps are below 2.00004e-05" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("epsilon", ["5e-6", "4e-6"])

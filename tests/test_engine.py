@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,18 @@ class TestConfigValidation:
     def test_variant_accepts_plain_integers(self):
         cfg = toy_config(2, 1)
         assert cfg.variant is AlgorithmVariant.MATCHING
+
+    def test_empty_epsilon_grid_rejected(self):
+        with pytest.raises(ValueError):
+            toy_config(AlgorithmVariant.MATCHING, 1, epsilons=())
+
+    def test_grid_members_differ_only_in_epsilon(self):
+        cfg = toy_config(AlgorithmVariant.MATCHING, 1, epsilons=[1e-3, 1e-4])
+        assert [m.epsilon for m in cfg.members] == [1e-3, 1e-4]
+        for m in cfg.members:
+            assert np.array_equal(m.A, cfg.system.A)
+            assert np.array_equal(m.a_inv_q, cfg.system.a_inv_q)
+            assert m.macro_rate() == cfg.system.macro_rate()
 
 
 class TestInitSweep:
@@ -227,6 +241,68 @@ class TestWorkerInvariance:
         assert len(r.timings.fine_wall) == 2
         assert len(r.timings.fine_task_seconds) == 2
         assert all(t > 0 for t in r.timings.fine_task_seconds)
+
+
+GRID_CASES = [
+    *[
+        pytest.param(builtin_toy, [1.0, 0.0, 0.0], variant, fine, "exact",
+                     id=f"toy-{variant.name}-{fine}")
+        for fine in ("exact", "euler")
+        for variant in AlgorithmVariant
+    ],
+    *[
+        pytest.param(partial(builtin_quadratic, 1.0), [1.0, 0.0],
+                     AlgorithmVariant.LIFTING, "euler", coarse,
+                     id=f"quadratic-LIFTING-{coarse}")
+        for coarse in ("euler", "rk4")
+    ],
+    *[
+        pytest.param(builtin_brusselator, [1.0, 1.0, 3.0],
+                     AlgorithmVariant.MATCHING, "euler", coarse,
+                     id=f"brusselator-MATCHING-{coarse}")
+        for coarse in ("euler", "rk4")
+    ],
+]
+
+
+class TestEpsilonGrid:
+    """A grid run is the plain runs at its epsilons, stacked on axis 2."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "epsilons", [(3e-3,), (1e-2, 3e-3, 1e-3)], ids=["E1", "E3"]
+    )
+    @pytest.mark.parametrize("builder, u0, variant, fine, coarse", GRID_CASES)
+    def test_each_slice_is_the_plain_run(
+        self, builder, u0, variant, fine, coarse, epsilons, workers
+    ):
+        # N = 10 and K = 2; the Euler substep 1e-3 is stable down to
+        # epsilon = 1e-3 for all three systems.
+        def config(epsilon, **kw):
+            return PararealConfig(
+                system=builder(epsilon),
+                t_final=1.0,
+                dt=0.1,
+                n_iterations=2,
+                variant=variant,
+                u0=np.array(u0),
+                micro_kind=fine,
+                macro_kind=coarse,
+                substep=1e-3 if fine == "euler" else None,
+                **kw,
+            )
+
+        grid = run(config(epsilons[0], epsilons=epsilons), workers=workers)
+        d = len(u0)
+        assert grid.u.shape == (3, 11, len(epsilons), d)
+        assert grid.reference.shape == (11, len(epsilons), d)
+        for i, epsilon in enumerate(epsilons):
+            plain = run(config(epsilon))
+            assert plain.u.shape == (3, 11, d)
+            assert plain.reference.shape == (11, d)
+            assert np.array_equal(grid.u[:, :, i], plain.u)
+            assert np.array_equal(grid.x[:, :, i], plain.x)
+            assert np.array_equal(grid.reference[:, i], plain.reference)
 
 
 class TestClassicParareal:
