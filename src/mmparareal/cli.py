@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -122,8 +123,8 @@ def _parse_float_list(value, what: str) -> list:
     value = [_float_value(what, v) for v in value]
     if not value:
         raise CliError(f"{what} must contain at least one value")
-    if any(not (v > 0) for v in value):
-        raise CliError(f"{what} entries must be positive")
+    if any(not (0 < v < math.inf) for v in value):
+        raise CliError(f"{what} entries must be positive and finite")
     return value
 
 

@@ -48,6 +48,7 @@ ascending n, so lattices are bit-identical for any worker count.
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -96,7 +97,8 @@ class PararealConfig:
         if not (self.t_final > 0 and self.dt > 0):
             raise ValueError("t_final and dt must be positive")
         ratio = self.t_final / self.dt
-        n = round(ratio)
+        # round(inf) raises OverflowError; a non-finite ratio is rejected below.
+        n = round(ratio) if math.isfinite(ratio) else 0
         if n < 1 or abs(ratio - n) > 1e-9 * ratio:
             raise ValueError(f"t_final/dt = {ratio!r} must be a positive integer")
         self.n_intervals = n

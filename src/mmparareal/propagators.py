@@ -28,8 +28,11 @@ steps act on the last axis and broadcast over the others.
   states stepped one by one; the float loop avoids numpy's per-call cost
   on a single small state, and the column loop pays it once per substep
   for the whole row. A linear system keeps the array loop, one interval
-  at a time: its rhs is a BLAS matrix-vector product, on a grid one
-  np.matmul by the members' stacked (E, d, d) B;
+  at a time, in two buffers: a copy u of the state and a derivative t.
+  Its rhs has the contract rhs(u, out), writing B u into out with no
+  temporary: B.dot(u, out) (a BLAS matrix-vector product), on a grid one
+  np.matmul by the members' stacked (E, d, d) B. A substep is then
+  rhs(u, t); t *= h; u += t, numpy's u + h * (B @ u) bit for bit;
 * exact-linear macro: X -> exp(lam dt) X, with exp(lam dt) > 0 cached;
 * forward-euler macro: a single explicit Euler step of the slow model;
 * rk4 macro: classical Runge-Kutta 4 substeps of the slow model, at most
@@ -87,19 +90,29 @@ def _stacked(f, system):
     return f(system)
 
 
+def _matvec_into(m: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
+    """out = m @ u for a stacked (E, d, d) m and (E, d) states, with no
+    temporaries; bitwise _matvec(m, u)."""
+    np.matmul(m, u[..., None], out=out[..., None])
+
+
 def _euler_array_substeps(
     rhs, h: float, n_sub: int, u: np.ndarray, state_ndim: int = 1
 ) -> np.ndarray:
-    if u.ndim > state_ndim:
-        # A row, one interval at a time: rhs is a matrix-vector product.
-        out = np.empty_like(u)
-        for i, state in enumerate(u):
-            out[i] = _euler_array_substeps(rhs, h, n_sub, state, state_ndim)
-        return out
+    # Copied once, since the engine passes views of its lattice rows; the
+    # substeps then run in place, state by state, with rhs(u, t) writing
+    # into one buffer t: the operations of u + h * rhs(u), in their order.
+    u = np.array(u, dtype=float, order="C")
+    states = u.reshape(-1, *u.shape[u.ndim - state_ndim:])
+    t = np.empty(states.shape[1:])
+    multiply, add = np.multiply, np.add
     # A blow-up runs on to inf/NaN for the endpoint check, without warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(n_sub):
-            u = u + h * rhs(u)
+        for state in states:
+            for _ in range(n_sub):
+                rhs(state, t)
+                multiply(h, t, out=t)
+                add(state, t, out=state)
     return u
 
 
@@ -154,7 +167,8 @@ class EulerMicro:
         if not (substep > 0):
             raise ValueError("substep must be positive")
         ratio = self.dt / float(substep)
-        n_sub = round(ratio)
+        # round(inf) raises OverflowError; a non-finite ratio is rejected below.
+        n_sub = round(ratio) if math.isfinite(ratio) else 0
         if n_sub < 1 or abs(ratio - n_sub) > 1e-9 * ratio:
             raise ValueError(
                 f"dt/substep = {ratio!r} must be a positive integer"
@@ -174,8 +188,8 @@ class EulerMicro:
             # A grid state is the (E, d) states of the members, stepped by
             # their stacked B.
             self.rhs = (
-                partial(_matvec, _stacked(lambda m: m.b_matrix(), system))
-                if grid else system.micro_rhs
+                partial(_matvec_into, _stacked(lambda m: m.b_matrix(), system))
+                if grid else system.b_matrix().dot
             )
             self._substeps = partial(_euler_array_substeps, state_ndim=1 + grid)
         else:

@@ -48,8 +48,8 @@ class LinearFastSlowSystem:
         self.epsilon = float(self.epsilon)
         if not math.isfinite(self.alpha):
             raise ValueError("alpha must be finite")
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive")
+        if not (0 < self.epsilon < math.inf):
+            raise ValueError("epsilon must be positive and finite")
         eigs = linalg.eigenvalues(self.A)
         self.lam_minus = float(np.min(eigs.real))
         if self.lam_minus <= 0:
@@ -148,8 +148,8 @@ class NonlinearFastSlowSystem:
         self.epsilon = float(self.epsilon)
         if self.slow_dim < 1 or self.fast_dim < 1:
             raise ValueError("slow_dim and fast_dim must be positive")
-        if not (self.epsilon > 0):
-            raise ValueError("epsilon must be positive")
+        if not (0 < self.epsilon < math.inf):
+            raise ValueError("epsilon must be positive and finite")
         # Probe the callables once: lift must be a right inverse of the
         # slow-part restriction, and both rhs must return finite derivatives.
         # micro_rhs is probed with the tuples the Euler propagator passes, so

@@ -175,6 +175,37 @@ class TestValidationErrors:
         assert main(["sweep-epsilon", "--epsilons", ","]) == 1
         assert "at least one value" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--T", "inf"],
+            ["--T", "1", "--fine", "euler", "--delta-t-fine", "1e-320"],
+        ],
+        ids=["T-inf", "substep-underflow"],
+    )
+    def test_nonfinite_step_ratio_exits_1_without_traceback(self, argv):
+        # round() of an infinite t_final/dt or dt/substep raised
+        # OverflowError; it must be a one-line config error.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmparareal.cli", "sweep-k", *argv,
+             "--epsilons", "1e-2", "--workers", "1"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "error:" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("system", ["toy", "quadratic"])
+    def test_infinite_epsilon_exits_1(self, capsys, system):
+        argv = ["sweep-k", "--system", system, "--epsilons", "1e-2,inf",
+                "--T", "1", "--kmax", "1", "--workers", "1"]
+        assert main(argv) == 1
+        assert "error: --epsilons entries must be positive and finite" in (
+            capsys.readouterr().err
+        )
+
     def test_dt_not_dividing_t(self, capsys):
         assert main(["sweep-dt", "--dts", "0.3", "--epsilons", "1e-4",
                      "--kmax", "1", "--workers", "1"]) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -156,6 +157,52 @@ class TestEulerMicro:
                 u = u + prop.h * np.asarray(system.micro_rhs(u, system.epsilon))
             assert np.array_equal(prop.step(u0), u)
 
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-3])
+    def test_linear_step_is_bitwise_the_array_recurrence(self, epsilon):
+        # The in-place loop must reproduce numpy's allocating recurrence
+        # u <- u + h * (B @ u) bit for bit, on and off the slow manifold.
+        # The oracle uses the same BLAS matrix-vector product, so this
+        # holds on any host.
+        system = builtin_toy(epsilon)
+        prop = EulerMicro(system, 0.1, 1e-4)
+        b = system.b_matrix()
+        for u0 in _seeded_states(system, 6, seed=11):
+            u = u0
+            for _ in range(prop.n_sub):
+                u = u + prop.h * (b @ u)
+            assert np.array_equal(prop.step(u0), u)
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4, 3, 3)], ids=["grid", "grid-row"])
+    def test_linear_grid_slots_are_bitwise_the_array_recurrence(self, shape):
+        # Slot e of a 3-member grid state is stepped exactly as member e's
+        # own recurrence, on (E, d) and (n, E, d) states alike.
+        members = tuple(builtin_toy(e) for e in GRID_EPS)
+        prop = EulerMicro(members, 0.1, 1e-4)
+        states = _seeded_states(members[0], math.prod(shape[:-1]), seed=3)
+        states = states.reshape(shape)
+        got = prop.step(states)
+        for index in np.ndindex(shape[:-1]):
+            b = members[index[-1]].b_matrix()
+            u = states[index]
+            for _ in range(prop.n_sub):
+                u = u + prop.h * (b @ u)
+            assert np.array_equal(got[index], u)
+
+    @pytest.mark.parametrize("grid", [False, True], ids=["plain", "grid"])
+    def test_linear_overflow_raises_without_warning(self, grid):
+        # B u overflows on the first substep and the state turns to inf
+        # and NaN; the error must be the only signal.
+        system = builtin_toy(1e-2)
+        prop = EulerMicro((system, builtin_toy(1e-3)) if grid else system, 0.1, 1e-4)
+        u = np.full((2, 3) if grid else 3, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError):
+                prop.step(u)
+
+
+GRID_EPS = (1e-2, 3e-3, 1e-3)
+
 
 def _seeded_states(system, n, seed):
     """n states, alternately on and off the slow manifold."""
@@ -202,6 +249,25 @@ class TestRowStep:
             assert np.all(np.isfinite(prop.step(np.delete(states, 13, axis=0))))
             with pytest.raises(NonFiniteStateError):
                 prop.step(states)
+
+
+class TestStepLeavesInput:
+    @pytest.mark.parametrize("shape", ["state", "row", "grid-row"])
+    @pytest.mark.parametrize("kernel", list(ROW_KERNELS))
+    def test_input_bytes_unchanged(self, kernel, shape):
+        # The engine steps views of its lattice rows, so a step must never
+        # write its argument, nor the array it is a view of.
+        system, kind = ROW_KERNELS[kernel]
+        row_shape = (5, len(GRID_EPS)) if shape == "grid-row" else (5,)
+        states = _seeded_states(system, math.prod(row_shape), seed=9)
+        lattice = np.stack([states, states]).reshape(2, *row_shape, system.dim)
+        if shape == "grid-row":
+            system = tuple(dataclasses.replace(system, epsilon=e) for e in GRID_EPS)
+        prop = make_micro(system, 1e-3, kind=kind, substep=1e-5)
+        before = lattice.tobytes()
+        arg = lattice[1, 0] if shape == "state" else lattice[1]
+        assert not np.array_equal(prop.step(arg), arg)
+        assert lattice.tobytes() == before
 
 
 class TestMacroPropagators:

@@ -135,6 +135,17 @@ class TestBrusselator:
         )
 
 
+@pytest.mark.parametrize(
+    "build",
+    [builtin_toy, lambda e: builtin_quadratic(1.0, e), builtin_brusselator],
+    ids=["toy", "quadratic", "brusselator"],
+)
+@pytest.mark.parametrize("epsilon", [0.0, -1e-3, math.inf, math.nan])
+def test_epsilon_must_be_positive_and_finite(build, epsilon):
+    with pytest.raises(ValueError, match="positive and finite"):
+        build(epsilon)
+
+
 class TestNonlinearValidation:
     def test_lift_must_be_section_of_restriction(self):
         with pytest.raises(ValueError):
