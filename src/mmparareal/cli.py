@@ -274,11 +274,12 @@ def _config(spec: ExperimentSpec, dt: float, epsilon: float, **kw) -> PararealCo
     )
 
 
-def _group_tables(spec: ExperimentSpec, dt: float, epsilons) -> list:
+def _group_tables(spec: ExperimentSpec, dt: float, epsilons, pool) -> list:
     """The error tables of one dt group, from one engine run over its
     epsilons; the run's lattices are dropped on return."""
     run = engine.run(
-        _config(spec, dt, epsilons[0], epsilons=epsilons), workers=spec.workers
+        _config(spec, dt, epsilons[0], epsilons=epsilons),
+        workers=spec.workers, pool=pool,
     )
     return [
         analysis.compute_errors(run, spec.system, member=i)
@@ -328,7 +329,8 @@ def _print_metadata(spec: ExperimentSpec):
 
 def cmd_sweep(spec: ExperimentSpec) -> int:
     """sweep-epsilon, sweep-k and sweep-dt: one error table per grid point,
-    from one engine run per dt, whose fine stage --workers slabs.
+    from one engine run per dt, whose fine stage --workers slabs. With
+    --workers > 1 all runs share one pool.
 
     The three differ only in their grid and default kmax: sweep-dt runs each
     dt of its grid at the first epsilon, the other two the epsilon grid at
@@ -339,7 +341,14 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
         groups = [(dt, spec.epsilons[:1]) for dt in spec.dts]
     else:
         groups = [(spec.dt, spec.epsilons)]
-    tables = [t for dt, eps in groups for t in _group_tables(spec, dt, eps)]
+    pool = engine.worker_pool(spec.workers) if spec.workers > 1 else None
+    try:
+        tables = [
+            t for dt, eps in groups for t in _group_tables(spec, dt, eps, pool)
+        ]
+    finally:
+        if pool is not None:
+            pool.shutdown()
     _write_output(_emit_tables(tables, spec), spec.out)
     return 0
 

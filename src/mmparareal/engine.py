@@ -267,16 +267,19 @@ def _grid_reference(config: PararealConfig, pool) -> np.ndarray:
     return np.stack(list(trajectories), axis=1)
 
 
-def run(config: PararealConfig, workers: int = 1) -> PararealRun:
-    """Init sweep, reference trajectory, then K correction iterations."""
+def run(config: PararealConfig, workers: int = 1, pool=None) -> PararealRun:
+    """Init sweep, reference trajectory, then K correction iterations.
+
+    With workers > 1 the run forks its own pool and shuts it down on return,
+    unless the caller passes one in pool, which the run uses and leaves
+    running.
+    """
     r = init_sweep(config)
 
-    pool = None
+    own_pool = pool is None and workers > 1
     try:
-        if workers > 1:
-            # Forks its workers on the first task, not here.
-            ctx = multiprocessing.get_context("fork")
-            pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+        if own_pool:
+            pool = worker_pool(workers)
         if config.with_reference:
             r.reference = (
                 micro_reference_trajectory(r.micro_prop, config.u0, config.n_intervals)
@@ -286,9 +289,15 @@ def run(config: PararealConfig, workers: int = 1) -> PararealRun:
         for k in range(config.n_iterations):
             parareal_iteration(r, k, workers=workers, pool=pool)
     finally:
-        if pool is not None:
+        if own_pool:
             pool.shutdown()
     return r
+
+
+def worker_pool(workers: int) -> ProcessPoolExecutor:
+    """A pool of forked workers; it forks them on its first task, not here."""
+    ctx = multiprocessing.get_context("fork")
+    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
 
 
 def classic_parareal(

@@ -126,13 +126,15 @@ class NonlinearFastSlowSystem:
     x[0]); construction probes both with a 2-row batch.
 
     micro_rhs(u, epsilon) takes u as a tuple of d components and returns
-    d components: d Python floats for one state, d (n,) float arrays, the
-    component columns, for a row of n states. The Euler micro propagator
-    calls it both ways on every substep, and construction probes both,
-    requiring each result column to equal the result for its row. Write it
-    with + - * / on the components only, as the built-ins do: math.exp or
-    float() fail on a column, and float ** raises OverflowError where
-    + - * / overflow to inf, which the propagator's endpoint check catches.
+    exactly d components: d Python floats for one state, d (n,) float
+    arrays, the component columns, for a row of n states. The Euler micro
+    propagator calls it both ways on every substep and unpacks the result
+    into d names, so any other count raises ValueError there. Construction
+    probes both ways, requiring d results and each result column to equal
+    the result for its row. Write it with + - * / on the components only,
+    as the built-ins do: math.exp or float() fail on a column, and float **
+    raises OverflowError where + - * / overflow to inf, which the
+    propagator's endpoint check catches.
     """
 
     slow_dim: int
@@ -153,8 +155,8 @@ class NonlinearFastSlowSystem:
         # Probe the callables once: lift must be a right inverse of the
         # slow-part restriction, and both rhs must return finite derivatives.
         # micro_rhs is probed with the tuples the Euler propagator passes, so
-        # sequence arithmetic such as u + u (concatenation) is caught here
-        # rather than truncated silently by the substep loop.
+        # sequence arithmetic such as u + u (concatenation) is caught here,
+        # at construction, rather than by the substep loop's unpacking.
         probe = np.ones(self.slow_dim)
         lifted = np.asarray(self.lift_map(probe), dtype=float)
         if lifted.shape != (self.dim,):

@@ -6,13 +6,14 @@ summary), then asserts. Heavy sweeps are shared through module fixtures.
 """
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from conftest import record_criterion, rk4_matrix
 
 from mmparareal import engine, verification
-from mmparareal.analysis import experiment_table, fit_slope
+from mmparareal.analysis import compute_errors, experiment_table, fit_slope
 from mmparareal.cli import main
 from mmparareal.engine import AlgorithmVariant, PararealConfig, classic_parareal
 from mmparareal.propagators import ExactLinearMicro
@@ -86,46 +87,81 @@ def plateau_tables():
     }
 
 
-def _quadratic_tables(coarse):
-    return {
-        eps: experiment_table(
-            builtin_quadratic(1.0, eps), "quadratic", 2, coarse, "euler",
-            0.1, 10.0, 4, np.array([1.0, 0.0]), substep=1e-5,
-        )
-        for eps in (1e-4, 1e-3)
-    }
+NONLINEAR_EPS = (1e-4, 1e-3)
 
 
-def _brusselator_tables(coarse):
-    return {
-        eps: experiment_table(
-            builtin_brusselator(eps), "brusselator", 2, coarse, "euler",
-            0.1, 10.0, 4, np.array([1.0, 1.0, 3.0]), substep=1e-5,
+def _nonlinear_runs(build, u0, coarse, references=None):
+    """K=4 MATCHING runs with Euler fine substeps of 1e-5, one per epsilon
+    in NONLINEAR_EPS; build(eps) builds the model.
+
+    The reference depends on the fine propagator alone, not on the coarse
+    one, so runs given the references of runs that share their fine
+    propagator attach those instead of recomputing them.
+    """
+    runs = {}
+    for eps in NONLINEAR_EPS:
+        runs[eps] = engine.run(
+            PararealConfig(
+                system=build(eps), t_final=10.0, dt=0.1, n_iterations=4,
+                variant=AlgorithmVariant.MATCHING, u0=u0,
+                micro_kind="euler", macro_kind=coarse, substep=1e-5,
+                with_reference=references is None,
+            )
         )
-        for eps in (1e-4, 1e-3)
-    }
+        if references is not None:
+            runs[eps].reference = references[eps]
+    return runs
+
+
+def _tables(runs, system_id):
+    return {eps: compute_errors(run, system_id) for eps, run in runs.items()}
+
+
+def _references(runs):
+    return {eps: run.reference for eps, run in runs.items()}
+
+
+_quadratic = partial(builtin_quadratic, 1.0)
+QUADRATIC_U0 = np.array([1.0, 0.0])
+BRUSSELATOR_U0 = np.array([1.0, 1.0, 3.0])
 
 
 @pytest.fixture(scope="module")
-def quadratic_tables():
-    return _quadratic_tables("euler")
+def quadratic_runs():
+    return _nonlinear_runs(_quadratic, QUADRATIC_U0, "euler")
 
 
 @pytest.fixture(scope="module")
-def quadratic_rk4_tables():
+def quadratic_tables(quadratic_runs):
+    return _tables(quadratic_runs, "quadratic")
+
+
+@pytest.fixture(scope="module")
+def quadratic_rk4_tables(quadratic_runs):
     """quadratic_tables with the coarse step resolving the macro model."""
-    return _quadratic_tables("rk4")
+    runs = _nonlinear_runs(
+        _quadratic, QUADRATIC_U0, "rk4", _references(quadratic_runs)
+    )
+    return _tables(runs, "quadratic")
 
 
 @pytest.fixture(scope="module")
-def brusselator_tables():
-    return _brusselator_tables("euler")
+def brusselator_runs():
+    return _nonlinear_runs(builtin_brusselator, BRUSSELATOR_U0, "euler")
 
 
 @pytest.fixture(scope="module")
-def brusselator_rk4_tables():
+def brusselator_tables(brusselator_runs):
+    return _tables(brusselator_runs, "brusselator")
+
+
+@pytest.fixture(scope="module")
+def brusselator_rk4_tables(brusselator_runs):
     """brusselator_tables with the coarse step resolving the macro model."""
-    return _brusselator_tables("rk4")
+    runs = _nonlinear_runs(
+        builtin_brusselator, BRUSSELATOR_U0, "rk4", _references(brusselator_runs)
+    )
+    return _tables(runs, "brusselator")
 
 
 @pytest.fixture(scope="module")

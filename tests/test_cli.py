@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -10,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mmparareal import analysis
+from mmparareal import analysis, engine
 from mmparareal.cli import CSV_HEADER, main
-from mmparareal.engine import AlgorithmVariant
+from mmparareal.engine import AlgorithmVariant, worker_pool
 from mmparareal.propagators import EulerMicro
 from mmparareal.systems import builtin_quadratic, builtin_toy
 
@@ -124,6 +125,26 @@ class TestDeterminism:
         _, one = run_to_file(tmp_path, "w1.csv", *self.ARGS, "--workers", "1")
         _, two = run_to_file(tmp_path, "w2.csv", *self.ARGS, "--workers", "2")
         assert one == two
+
+    def test_sweep_dt_groups_share_one_pool(self, tmp_path, monkeypatch):
+        # Three dt groups, three engine runs: one pool serves them all, and
+        # it is shut down, its workers joined, before main returns.
+        pools = []
+
+        def counted(workers):
+            pools.append(workers)
+            return worker_pool(workers)
+
+        monkeypatch.setattr(engine, "worker_pool", counted)
+        args = ("sweep-dt", "--dts", "0.2,0.1,0.05", "--epsilons", "1e-3",
+                "--kmax", "2", "--all-times")
+        _, one = run_to_file(tmp_path, "w1.csv", *args, "--workers", "1")
+        assert pools == []
+        _, two = run_to_file(tmp_path, "w2.csv", *args, "--workers", "2")
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+        assert one == two
+        assert {r["dt"] for r in rows_of(one)} == {"0.2", "0.1", "0.05"}
 
     def test_sweep_k_and_sweep_epsilon_write_identical_bytes(self, tmp_path):
         args = (*self.ARGS[1:], "--all-times", "--workers", "1")

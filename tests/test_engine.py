@@ -11,6 +11,7 @@ from mmparareal.engine import (
     init_sweep,
     parareal_iteration,
     run,
+    worker_pool,
 )
 from mmparareal.systems import builtin_brusselator, builtin_quadratic, builtin_toy
 
@@ -235,6 +236,25 @@ class TestWorkerInvariance:
         r2 = run(cfg, workers=2)
         assert np.array_equal(r1.u, r2.u)
         assert np.array_equal(r1.x, r2.x)
+
+    def test_caller_pool_is_used_and_left_running(self):
+        # Two runs, one grid run with its reference mapped over the pool,
+        # share the caller's pool; each is bitwise the run without one.
+        config = partial(
+            PararealConfig, system=builtin_toy(1e-2), t_final=1.0, dt=0.1,
+            n_iterations=2, variant=AlgorithmVariant.MATCHING, u0=U0,
+            micro_kind="euler", substep=1e-4,
+        )
+        plain, grid = config(), config(epsilons=(1e-2, 1e-3))
+        pool = worker_pool(2)
+        try:
+            for cfg in (plain, grid):
+                shared, alone = run(cfg, workers=2, pool=pool), run(cfg)
+                assert np.array_equal(shared.u, alone.u)
+                assert np.array_equal(shared.reference, alone.reference)
+            assert pool.submit(abs, -1).result() == 1
+        finally:
+            pool.shutdown()
 
     def test_task_timings_recorded_per_iteration(self):
         r = run(toy_config(AlgorithmVariant.MATCHING, 2))

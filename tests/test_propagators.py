@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -18,9 +19,55 @@ from mmparareal.propagators import (
     make_micro,
     micro_reference_trajectory,
 )
-from mmparareal.systems import builtin_brusselator, builtin_quadratic, builtin_toy
+from mmparareal.systems import (
+    NonlinearFastSlowSystem,
+    builtin_brusselator,
+    builtin_quadratic,
+    builtin_toy,
+)
 
 U0 = np.array([1.0, 0.0, 0.0])
+
+
+# A four-component system, a state dimension no built-in has: two slow
+# components and two fast ones relaxing onto y1 = x1 x2, y2 = x1 + x2.
+def _four_micro_rhs(u, epsilon):
+    x1, x2, y1, y2 = u
+    return (
+        -x1 + 0.5 * y1,
+        -0.5 * x2 - 0.25 * y2 * x1,
+        (x1 * x2 - y1) / epsilon,
+        (x1 + x2 - y2) / epsilon - y1 * x2,
+    )
+
+
+def _four_macro_rhs(x):
+    x1, x2 = x[..., 0], x[..., 1]
+    return np.stack([-x1 + 0.5 * x1 * x2, -0.5 * x2 - 0.25 * (x1 + x2) * x1], axis=-1)
+
+
+def _four_lift(x):
+    x1, x2 = x[..., :1], x[..., 1:2]
+    return np.concatenate([x, x1 * x2, x1 + x2], axis=-1)
+
+
+def four_component(epsilon):
+    return NonlinearFastSlowSystem(
+        slow_dim=2,
+        fast_dim=2,
+        micro_rhs=_four_micro_rhs,
+        macro_rhs=_four_macro_rhs,
+        lift_map=_four_lift,
+        epsilon=epsilon,
+    )
+
+
+def _euler_recurrence(system, h, n_sub, u):
+    """numpy's allocating recurrence u <- u + h * micro_rhs(u), the oracle
+    of the nonlinear Euler loop."""
+    for _ in range(n_sub):
+        u = u + h * np.asarray(system.micro_rhs(u, system.epsilon))
+    return u
 
 
 class TestExactMicro:
@@ -138,8 +185,8 @@ class TestEulerMicro:
 
     @pytest.mark.parametrize(
         "system",
-        [builtin_quadratic(1.0, 1e-3), builtin_brusselator(1e-3)],
-        ids=["quadratic", "brusselator"],
+        [builtin_quadratic(1.0, 1e-3), builtin_brusselator(1e-3), four_component(1e-3)],
+        ids=["quadratic", "brusselator", "four-component"],
     )
     def test_nonlinear_step_is_bitwise_the_array_recurrence(self, system):
         # The reference is the array loop u <- u + h * rhs(u), evaluated
@@ -152,10 +199,30 @@ class TestEulerMicro:
         ]
         off_manifold = list(rng.uniform(0.2, 3.0, (3, system.dim)))
         for u0 in on_manifold + off_manifold:
-            u = u0
-            for _ in range(prop.n_sub):
-                u = u + prop.h * np.asarray(system.micro_rhs(u, system.epsilon))
-            assert np.array_equal(prop.step(u0), u)
+            want = _euler_recurrence(system, prop.h, prop.n_sub, u0)
+            assert np.array_equal(prop.step(u0), want)
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3)], ids=["grid", "grid-row"])
+    @pytest.mark.parametrize(
+        "build",
+        [partial(builtin_quadratic, 1.0), builtin_brusselator, four_component],
+        ids=["quadratic", "brusselator", "four-component"],
+    )
+    def test_nonlinear_grid_slots_are_bitwise_the_array_recurrence(
+        self, build, shape
+    ):
+        # Slot e of a 3-member grid state is stepped exactly as member e's
+        # own recurrence, at its epsilon, on (E, d) and (n, E, d) states.
+        members = tuple(build(e) for e in GRID_EPS)
+        prop = EulerMicro(members, 0.1, 1e-4)
+        states = _seeded_states(members[0], math.prod(shape), seed=5)
+        states = states.reshape(*shape, members[0].dim)
+        got = prop.step(states)
+        assert got.shape == states.shape
+        for index in np.ndindex(shape):
+            member = members[index[-1]]
+            want = _euler_recurrence(member, prop.h, prop.n_sub, states[index])
+            assert np.array_equal(got[index], want)
 
     @pytest.mark.parametrize("epsilon", [1e-2, 1e-3])
     def test_linear_step_is_bitwise_the_array_recurrence(self, epsilon):
@@ -217,6 +284,7 @@ ROW_KERNELS = {
     "toy-euler": (builtin_toy(1e-3), "euler"),
     "quadratic-euler": (builtin_quadratic(1.0, 1e-3), "euler"),
     "brusselator-euler": (builtin_brusselator(1e-3), "euler"),
+    "four-component-euler": (four_component(1e-3), "euler"),
 }
 
 
