@@ -88,13 +88,12 @@ def compute_errors(
     if macro_denom == 0.0 or micro_denom == 0.0:
         raise ValueError("reference vanishes at the final time")
 
-    eps = float(getattr(system, "epsilon", math.nan))
     return ErrorTable(
         system=system_id,
         variant=int(config.variant),
         coarse=config.macro_kind,
         fine=config.micro_kind,
-        epsilon=eps,
+        epsilon=system.epsilon,
         dt=config.dt,
         t_final=config.t_final,
         n_intervals=config.n_intervals,
@@ -182,16 +181,16 @@ def _check_layer_separation(system, dt: float):
             )
 
 
-def _final_errors(points, k, which, system_builder, u0, **table_args):
-    """Final-time relative error at iteration k for each (epsilon, dt)."""
-    start = TOY_U0 if u0 is None else u0
-    errors = []
-    for eps, dt in points:
-        system = system_builder(eps)
-        _check_layer_separation(system, dt)
-        table = experiment_table(system, dt=dt, kmax=k, u0=start, **table_args)
-        errors.append(table.final_relative(k, which))
-    return np.array(errors)
+def grid_tables(
+    config: PararealConfig, system_id: str = "", workers: int = 1, pool=None
+) -> list:
+    """The error tables of an epsilon grid config, one per member, from one
+    engine run; the run's lattices are dropped on return."""
+    run = engine.run(config, workers=workers, pool=pool)
+    return [
+        compute_errors(run, system_id, member=i)
+        for i in range(len(config.members))
+    ]
 
 
 def epsilon_order(
@@ -209,13 +208,21 @@ def epsilon_order(
     u0=None,
     floor: float = DEFAULT_FLOOR,
 ) -> SlopeFit:
-    """Slope of the final-time relative error at iteration k versus epsilon."""
+    """Slope of the final-time relative error at iteration k versus epsilon.
+
+    The epsilon values are one grid run whose members are
+    dataclasses.replace(system_builder(eps_values[0]), epsilon=e), so the
+    builder's systems may differ only in epsilon.
+    """
     eps_values = np.asarray(eps_values, dtype=float)
-    errors = _final_errors(
-        [(eps, dt) for eps in eps_values], k, which, system_builder, u0,
-        system_id=system_id, variant=variant, coarse=coarse, fine=fine,
-        t_final=t_final, substep=substep,
+    for eps in eps_values:
+        _check_layer_separation(system_builder(eps), dt)
+    config = PararealConfig(
+        system=system_builder(eps_values[0]), t_final=t_final, dt=dt,
+        n_iterations=k, variant=variant, u0=TOY_U0 if u0 is None else u0,
+        micro_kind=fine, macro_kind=coarse, substep=substep, epsilons=eps_values,
     )
+    errors = [t.final_relative(k, which) for t in grid_tables(config, system_id)]
     return fit_slope(eps_values, errors, floor=floor)
 
 
@@ -235,13 +242,18 @@ def dt_order(
     floor: float = DEFAULT_FLOOR,
 ) -> SlopeFit:
     """Slope of the final-time error at iteration k versus 1/dt at fixed
-    epsilon (positive for errors shrinking with dt)."""
+    epsilon (positive for errors shrinking with dt); one run per dt, as N
+    changes with dt."""
     dt_values = np.asarray(dt_values, dtype=float)
-    errors = _final_errors(
-        [(epsilon, dt) for dt in dt_values], k, which, system_builder, u0,
-        system_id=system_id, variant=variant, coarse=coarse, fine=fine,
-        t_final=t_final, substep=substep,
-    )
+    system = system_builder(epsilon)
+    errors = []
+    for dt in dt_values:
+        _check_layer_separation(system, dt)
+        table = experiment_table(
+            system, system_id, variant, coarse, fine, dt=dt, t_final=t_final,
+            kmax=k, u0=TOY_U0 if u0 is None else u0, substep=substep,
+        )
+        errors.append(table.final_relative(k, which))
     return fit_slope(1.0 / dt_values, errors, floor=floor)
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import analysis, engine, verification
 from .engine import AlgorithmVariant, PararealConfig
 from .linalg import ExpOverflowError, NoConvergenceError, SingularMatrixError
-from .propagators import NonFiniteStateError
+from .propagators import DEFAULT_SUBSTEP, NonFiniteStateError
 from .systems import (
     builtin_brusselator,
     builtin_quadratic,
@@ -46,7 +46,7 @@ COARSE_KINDS = ("exact", "euler", "rk4")
 FINE_KINDS = ("exact", "euler")
 
 DEFAULT_U0 = {
-    "toy": [1.0, 0.0, 0.0],
+    "toy": analysis.TOY_U0.tolist(),
     "quadratic": [1.0, 0.0],
     "brusselator": [1.0, 1.0, 3.0],
 }
@@ -206,7 +206,7 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     substep = pick("delta_t_fine", None)
     if substep is None and fine == "euler":
         # Sized so one speedup task is a visible chunk of work.
-        substep = 2e-5 if args.command == "speedup" else 1e-5
+        substep = 2e-5 if args.command == "speedup" else DEFAULT_SUBSTEP
     if substep is not None:
         substep = _float_value("delta_t_fine", substep)
         if not (substep > 0):
@@ -274,19 +274,6 @@ def _config(spec: ExperimentSpec, dt: float, epsilon: float, **kw) -> PararealCo
     )
 
 
-def _group_tables(spec: ExperimentSpec, dt: float, epsilons, pool) -> list:
-    """The error tables of one dt group, from one engine run over its
-    epsilons; the run's lattices are dropped on return."""
-    run = engine.run(
-        _config(spec, dt, epsilons[0], epsilons=epsilons),
-        workers=spec.workers, pool=pool,
-    )
-    return [
-        analysis.compute_errors(run, spec.system, member=i)
-        for i in range(len(epsilons))
-    ]
-
-
 def _emit_tables(tables, spec: ExperimentSpec) -> str:
     lines = [CSV_HEADER]
     for t in tables:
@@ -343,9 +330,10 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
         groups = [(spec.dt, spec.epsilons)]
     pool = engine.worker_pool(spec.workers) if spec.workers > 1 else None
     try:
-        tables = [
-            t for dt, eps in groups for t in _group_tables(spec, dt, eps, pool)
-        ]
+        tables = []
+        for dt, eps in groups:
+            config = _config(spec, dt, eps[0], epsilons=eps)
+            tables += analysis.grid_tables(config, spec.system, spec.workers, pool)
     finally:
         if pool is not None:
             pool.shutdown()

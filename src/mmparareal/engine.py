@@ -48,7 +48,6 @@ ascending n, so lattices are bit-identical for any worker count.
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -60,7 +59,7 @@ from typing import Optional
 import multiprocessing
 import numpy as np
 
-from .propagators import make_macro, make_micro, micro_reference_trajectory
+from .propagators import make_macro, make_micro, micro_reference_trajectory, step_count
 from .systems import NonlinearFastSlowSystem
 from .transfer import TransferSet, transfer_for
 
@@ -96,12 +95,7 @@ class PararealConfig:
         self.variant = AlgorithmVariant(self.variant)
         if not (self.t_final > 0 and self.dt > 0):
             raise ValueError("t_final and dt must be positive")
-        ratio = self.t_final / self.dt
-        # round(inf) raises OverflowError; a non-finite ratio is rejected below.
-        n = round(ratio) if math.isfinite(ratio) else 0
-        if n < 1 or abs(ratio - n) > 1e-9 * ratio:
-            raise ValueError(f"t_final/dt = {ratio!r} must be a positive integer")
-        self.n_intervals = n
+        self.n_intervals = step_count(self.t_final, self.dt, "t_final/dt")
         if self.n_iterations < 0:
             raise ValueError("n_iterations must be >= 0")
         self.u0 = np.asarray(self.u0, dtype=float)

@@ -70,6 +70,16 @@ DEFAULT_SUBSTEP = 1e-5
 DEFAULT_MACRO_SUBSTEP = 5e-3
 
 
+def step_count(span: float, step: float, name: str) -> int:
+    """span/step as a positive integer, or a ValueError naming the ratio."""
+    ratio = span / step
+    # round(inf) raises OverflowError; a non-finite ratio is rejected below.
+    n = round(ratio) if math.isfinite(ratio) else 0
+    if n < 1 or abs(ratio - n) > 1e-9 * ratio:
+        raise ValueError(f"{name} = {ratio!r} must be a positive integer")
+    return n
+
+
 class NonFiniteStateError(Exception):
     """A propagation step produced non-finite state values."""
 
@@ -204,15 +214,8 @@ class EulerMicro:
         self.dt = float(dt)
         if not (substep > 0):
             raise ValueError("substep must be positive")
-        ratio = self.dt / float(substep)
-        # round(inf) raises OverflowError; a non-finite ratio is rejected below.
-        n_sub = round(ratio) if math.isfinite(ratio) else 0
-        if n_sub < 1 or abs(ratio - n_sub) > 1e-9 * ratio:
-            raise ValueError(
-                f"dt/substep = {ratio!r} must be a positive integer"
-            )
-        self.n_sub = n_sub
-        self.h = self.dt / n_sub
+        self.n_sub = step_count(self.dt, float(substep), "dt/substep")
+        self.h = self.dt / self.n_sub
         grid = isinstance(system, tuple)
         members = system if grid else (system,)
         for member in members:

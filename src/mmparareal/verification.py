@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analysis, engine, linalg
+from .analysis import TOY_U0
 from .engine import AlgorithmVariant, PararealConfig
 from .systems import builtin_brusselator, builtin_toy
 from .transfer import TransferSet, transfer_for
 
-TOY_U0 = np.array([1.0, 0.0, 0.0])
 # Epsilon grid of the closeness-bound ratio reports.
 LEMMA_EPS = [1e-5, 1e-4, 1e-3, 1e-2]
 
@@ -117,42 +117,36 @@ def check_spectral_decay():
 
 
 def check_transfer_identities():
+    # 500 random states per system; each map is called once on the whole
+    # (500, .) row, as the engine calls it.
     rng = np.random.default_rng(2024)
-    tsets = [
-        (transfer_for(builtin_toy(1e-3)), 3),
-        (transfer_for(builtin_brusselator(1e-3)), 3),
-    ]
-    for _ in range(500):
-        for tset, d in tsets:
-            s = tset.slow_dim
-            x = rng.standard_normal(s)
-            u = rng.standard_normal(d)
-            v = rng.standard_normal(d)
-            if not np.array_equal(tset.restrict(tset.lift(x)), x):
-                return False, "restrict(lift(X)) != X"
-            if not np.array_equal(tset.restrict(tset.match(x, v)), x):
-                return False, "restrict(match(X, v)) != X"
-            if not np.array_equal(tset.match(tset.restrict(u), u), u):
-                return False, "match(restrict(u), u) != u"
-            mv = tset.match(x, v)
-            if not np.array_equal(tset.match(x, mv), mv):
-                return False, "match(X, match(X, v)) != match(X, v)"
-            re_u = np.concatenate([tset.restrict(u), u[s:]])
-            if not np.array_equal(re_u, u):
-                return False, "(restrict(u), u[s:]) does not reassemble u"
+    for system in (builtin_toy(1e-3), builtin_brusselator(1e-3)):
+        tset, s = transfer_for(system), system.slow_dim
+        x = rng.standard_normal((500, s))
+        u, v = rng.standard_normal((2, 500, system.dim))
+        mv = tset.match(x, v)
+        for got, want, failure in [
+            (tset.restrict(tset.lift(x)), x, "restrict(lift(X)) != X"),
+            (tset.restrict(mv), x, "restrict(match(X, v)) != X"),
+            (tset.match(tset.restrict(u), u), u, "match(restrict(u), u) != u"),
+            (tset.match(x, mv), mv, "match(X, match(X, v)) != match(X, v)"),
+            (np.hstack([tset.restrict(u), u[:, s:]]), u,
+             "(restrict(u), u[s:]) does not reassemble u"),
+        ]:
+            if not np.array_equal(got, want):
+                return False, failure
     return True, "all identities exact on 1000 random triples"
 
 
 def check_match_lipschitz():
     rng = np.random.default_rng(5)
     tset = transfer_for(builtin_toy(1e-3))
-    worst = 0.0
-    for _ in range(1000):
-        x, y = rng.standard_normal(2)
-        u, v = rng.standard_normal(3), rng.standard_normal(3)
-        lhs = np.linalg.norm(tset.match([x], u) - tset.match([y], v))
-        rhs = abs(x - y) + np.linalg.norm(u - v)
-        worst = max(worst, lhs / rhs)
+    # Row i holds pair i's (x, y, u, v), the stream of a per-pair loop.
+    draws = rng.standard_normal((1000, 8))
+    x, y, u, v = draws[:, :1], draws[:, 1:2], draws[:, 2:5], draws[:, 5:]
+    lhs = np.linalg.norm(tset.match(x, u) - tset.match(y, v), axis=1)
+    rhs = np.abs(x - y)[:, 0] + np.linalg.norm(u - v, axis=1)
+    worst = np.max(lhs / rhs)
     return worst <= 1.0 + 1e-12, f"worst Lipschitz ratio {worst:.12f} (<= 1)"
 
 
@@ -183,22 +177,20 @@ def _recursion_defect(run) -> float:
     """Recompute the macro error from the one-step recursion closed form.
 
     E[k+1][n] = sum_{p=1}^{n-1} rho^(n-p-1) (row0(Phi) . e[k][p] - rho E[k][p])
+
+    for all (k, n) at once, as the product of the sources with the
+    lower-triangular matrix of rho powers.
     """
     phi_row = run.micro_prop.phi[0]
     rho = run.macro_prop.rho
     ref = run.reference
-    n = run.config.n_intervals
-    worst = 0.0
-    for k in range(run.config.n_iterations):
-        e_k = run.u[k] - ref
-        big_e_k = run.x[k][:, 0] - ref[:, 0]
-        big_e_next = run.x[k + 1][:, 0] - ref[:, 0]
-        source = e_k @ phi_row - rho * big_e_k
-        for j in range(2, n + 1):
-            powers = rho ** (j - 1 - np.arange(1, j))
-            predicted = powers @ source[1:j]
-            worst = max(worst, abs(predicted - big_e_next[j]))
-    return worst
+    k_max, n = run.config.n_iterations, run.config.n_intervals
+    big_e = run.x[:, :, 0] - ref[:, 0]
+    source = (run.u[:k_max] - ref) @ phi_row - rho * big_e[:k_max]
+    lag = np.subtract.outer(np.arange(n - 1), np.arange(n))  # [n-2, p-1]: n-p-1
+    powers = np.where(lag >= 0, rho ** np.abs(lag), 0.0)
+    predicted = source[:, 1:] @ powers.T  # E[k+1][n] for n = 2..N
+    return float(np.max(np.abs(predicted - big_e[1:, 2:]), initial=0.0))
 
 
 def check_error_recursion():

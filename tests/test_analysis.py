@@ -1,6 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from mmparareal import engine
 from mmparareal.analysis import (
     TOY_U0,
     TooFewPointsError,
@@ -160,8 +163,51 @@ class TestGridErrors:
             compute_errors(self.grid_run())
 
 
+@pytest.fixture
+def engine_runs(monkeypatch):
+    """The configs of every engine.run call made while the test runs."""
+    configs = []
+    real_run = engine.run
+
+    def counting_run(config, *args, **kwargs):
+        configs.append(config)
+        return real_run(config, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "run", counting_run)
+    return configs
+
+
 class TestEpsilonOrder:
     GRID = [1e-5, 1e-4, 1e-3]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            dict(variant=AlgorithmVariant.MATCHING, coarse="exact",
+                 fine="exact", k=2, which="micro", eps_values=GRID,
+                 t_final=10.0, substep=None, system_builder=builtin_toy,
+                 system_id="toy", u0=TOY_U0),
+            dict(variant=AlgorithmVariant.MATCHING, coarse="rk4",
+                 fine="euler", k=2, which="macro", eps_values=[1e-3, 3e-3, 1e-2],
+                 t_final=1.0, substep=1e-4,
+                 system_builder=partial(builtin_quadratic, 1.0),
+                 system_id="quadratic", u0=[1.0, 0.0]),
+        ],
+        ids=["toy-exact", "quadratic-euler-rk4"],
+    )
+    def test_one_grid_run_gives_the_per_epsilon_errors(self, engine_runs, args):
+        fit = epsilon_order(**args)
+        assert len(engine_runs) == 1
+        want = [
+            experiment_table(
+                args["system_builder"](eps), args["system_id"], args["variant"],
+                args["coarse"], args["fine"], dt=0.1, t_final=args["t_final"],
+                kmax=args["k"], u0=args["u0"], substep=args["substep"],
+            ).final_relative(args["k"], args["which"])
+            for eps in args["eps_values"]
+        ]
+        assert fit.xs.tolist() == args["eps_values"]
+        assert fit.ys.tobytes() == np.array(want).tobytes()
 
     def test_lifting_macro_second_order(self):
         fit = epsilon_order(AlgorithmVariant.LIFTING, "exact", 1, self.GRID)
@@ -177,10 +223,12 @@ class TestEpsilonOrder:
         fit = epsilon_order(AlgorithmVariant.DAE_COARSE, "exact", 1, self.GRID)
         assert fit.slope == pytest.approx(2.0, abs=0.3)
 
-    def test_boundary_layer_precondition(self):
-        # t_layer(1e-2) = 0.276 > dt, so the rate statement does not apply.
+    def test_boundary_layer_precondition(self, engine_runs):
+        # t_layer(1e-2) = 0.276 > dt, so the rate statement does not apply,
+        # and no epsilon of the grid is run.
         with pytest.raises(ValueError):
             epsilon_order(AlgorithmVariant.LIFTING, "exact", 1, [1e-3, 1e-2])
+        assert engine_runs == []
 
 
 class TestDtOrder:

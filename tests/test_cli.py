@@ -178,6 +178,15 @@ class TestDeterminism:
         data = (tmp_path / "pinned.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    def test_verify_report_bytes_pinned(self, capsys):
+        # Unlike the CSVs above, the report prints round-off figures of
+        # BLAS and LAPACK calls, so a different BLAS build may move them.
+        assert main(["verify"]) == 0
+        report = capsys.readouterr().out.encode()
+        assert hashlib.sha256(report).hexdigest() == (
+            "858c2662dbe372d641f86460e7423aca9194e76687f838b56fb2386f068a0830"
+        )
+
     def test_metadata_stays_on_stderr(self, capsys):
         assert main(["sweep-epsilon", "--epsilons", "1e-3", "--kmax", "1",
                      "--workers", "1"]) == 0

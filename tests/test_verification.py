@@ -1,7 +1,9 @@
 import numpy as np
+import pytest
 
 from mmparareal import verification
 from mmparareal.engine import AlgorithmVariant
+from mmparareal.transfer import TransferSet
 
 
 class TestRunChecks:
@@ -50,3 +52,54 @@ class TestRecursionDefect:
         run = verification._toy_run(AlgorithmVariant.MATCHING, kmax=1)
         big_e1 = run.x[1][:, 0] - run.reference[:, 0]
         assert np.max(np.abs(big_e1)) > 1e-9
+
+    @pytest.mark.parametrize("variant", list(AlgorithmVariant))
+    def test_lattice_form_equals_per_point_sums(self, variant):
+        # Reference: the closed form summed separately for each (k, n). Both
+        # add the same terms in another order, so the defects agree to a few
+        # ulps of the macro errors (at most about 1e-7), far below 1e-20.
+        run = verification._toy_run(variant, epsilon=1e-4)
+        phi_row, rho = run.micro_prop.phi[0], run.macro_prop.rho
+        ref, n = run.reference, run.config.n_intervals
+        worst = 0.0
+        big_e = run.x[:, :, 0] - ref[:, 0]
+        for k in range(run.config.n_iterations):
+            source = (run.u[k] - ref) @ phi_row - rho * big_e[k]
+            for j in range(2, n + 1):
+                predicted = rho ** (j - 1 - np.arange(1, j)) @ source[1:j]
+                worst = max(worst, abs(predicted - big_e[k + 1][j]))
+        assert worst > 0.0
+        assert abs(verification._recursion_defect(run) - worst) <= 1e-20
+
+
+class _OneRowOff(TransferSet):
+    def match(self, x, v):
+        out = super().match(x, v)
+        out[123, -1] += 1e-9
+        return out
+
+
+class _Expansive(TransferSet):
+    def match(self, x, v):
+        return 1.5 * super().match(x, v)
+
+
+class TestRowChecksCanFail:
+    @staticmethod
+    def use_transfer(monkeypatch, cls):
+        monkeypatch.setattr(
+            verification, "transfer_for",
+            lambda system: cls(system.slow_dim, system.lift_map),
+        )
+
+    def test_one_bad_row_fails_transfer_identities(self, monkeypatch):
+        self.use_transfer(monkeypatch, _OneRowOff)
+        assert verification.check_transfer_identities() == (
+            False, "match(restrict(u), u) != u"
+        )
+
+    def test_expansive_match_fails_lipschitz(self, monkeypatch):
+        self.use_transfer(monkeypatch, _Expansive)
+        ok, detail = verification.check_match_lipschitz()
+        assert not ok
+        assert "worst Lipschitz ratio 1.4" in detail
