@@ -20,7 +20,7 @@ import numpy as np
 
 from . import engine, linalg
 from .engine import AlgorithmVariant, PararealConfig, PararealRun
-from .propagators import ExactLinearMicro, micro_reference_trajectory
+from .propagators import ExactLinearMicro, _matvec, micro_reference_trajectory
 from .systems import LinearFastSlowSystem, builtin_toy
 
 # Relative errors below this are treated as machine-precision noise.
@@ -215,13 +215,15 @@ def epsilon_order(
     builder's systems may differ only in epsilon.
     """
     eps_values = np.asarray(eps_values, dtype=float)
-    for eps in eps_values:
-        _check_layer_separation(system_builder(eps), dt)
+    if eps_values.size < 2:
+        raise TooFewPointsError(f"{eps_values.size} epsilon value(s), a slope needs 2")
     config = PararealConfig(
         system=system_builder(eps_values[0]), t_final=t_final, dt=dt,
         n_iterations=k, variant=variant, u0=TOY_U0 if u0 is None else u0,
         micro_kind=fine, macro_kind=coarse, substep=substep, epsilons=eps_values,
     )
+    for member in config.members:
+        _check_layer_separation(member, dt)
     errors = [t.final_relative(k, which) for t in grid_tables(config, system_id)]
     return fit_slope(eps_values, errors, floor=floor)
 
@@ -257,117 +259,88 @@ def dt_order(
     return fit_slope(1.0 / dt_values, errors, floor=floor)
 
 
-# Families whose factor-10 stability across epsilon is asserted; the two
-# supremum families below are reported but informational.
-LEMMA_FAMILIES = ("x_dev", "z_layer_dev", "z_tail")
-ALL_FAMILIES = ("x_dev", "z_layer_dev", "z_tail", "x_sup", "y_tail_sup")
+# Closeness-bound trajectories are sampled on LEMMA_N_GRID uniform intervals
+# of [0, LEMMA_T_FINAL]. The bounds hold with epsilon-independent constants,
+# so the flag trips when a ratio family varies by more than LEMMA_FLAG_FACTOR
+# across the epsilon grid.
+LEMMA_T_FINAL = 10.0
+LEMMA_N_GRID = 1000
+LEMMA_FLAG_FACTOR = 10.0
 
 
 @dataclass(eq=False)
 class LemmaDiagnostics:
     eps_values: np.ndarray
     ratios: dict            # family -> array over eps_values
-    variation: dict         # family -> max/min over the flagged eps range
-    flagged_eps: np.ndarray
-    flag_factor: float
+    variation: dict         # family -> max/min over eps_values
     ok: bool
 
 
 def lemma_diagnostics(
-    system_builder: Callable[[float], LinearFastSlowSystem],
-    u0,
-    eps_values,
-    t_final: float = 10.0,
-    n_grid: int = 1000,
-    flag_factor: float = 10.0,
-    eps_exclude_above: Optional[float] = None,
+    system_builder: Callable[[float], LinearFastSlowSystem], u0, eps_values
 ) -> LemmaDiagnostics:
     """Normalized left/right ratios of the slow-fast closeness bounds.
 
     For each epsilon, with z = y - (A^-1 q) x and exact trajectories sampled
-    on a uniform grid of n_grid intervals:
+    on the uniform grid of LEMMA_N_GRID intervals:
 
       x_dev        sup |x - x0 e^(lam t)|            / (eps (|x0| + ||z0||))
       z_layer_dev  sup ||z - e^(-A t/eps) z0||       / (eps (|x0| + ||z0||))
       z_tail       sup_{t >= t_layer} ||z||          / (eps (|x0| + ||z0||))
-      x_sup        sup |x|                           / (|x0| + eps ||y0||)
-      y_tail_sup   sup_{t >= t_layer} ||y||          / (|x0| + eps ||y0||)
 
-    The bounds hold with epsilon-independent constants, so each ratio family
-    should stay within a modest band across the sweep; the flag trips when a
-    family in LEMMA_FAMILIES varies by more than flag_factor. Ratios at
-    eps >= eps_exclude_above are reported but not flagged (the statements
-    only claim a constant below some epsilon threshold).
+    The epsilons are one grid: one (n_grid+1, E, d) trajectory, and one loop
+    stepping the (E, m) fast transients by their stacked decay matrices.
     """
     eps_values = np.asarray(eps_values, dtype=float)
     u0 = np.asarray(u0, dtype=float)
-    ratios = {name: np.empty(eps_values.size) for name in ALL_FAMILIES}
+    members = tuple(system_builder(eps) for eps in eps_values)
+    if not all(isinstance(m, LinearFastSlowSystem) for m in members):
+        raise TypeError("lemma diagnostics need the linear model")
+    if not members:
+        raise ValueError("no epsilon values")
 
-    for i, eps in enumerate(eps_values):
-        system = system_builder(eps)
-        if not isinstance(system, LinearFastSlowSystem):
-            raise TypeError("lemma diagnostics need the linear model")
-        x0 = u0[0]
-        y0 = u0[1:]
-        z0 = system.slow_manifold_offset(u0)
-        lemma_denom = eps * (abs(x0) + np.linalg.norm(z0))
-        cor_denom = abs(x0) + eps * np.linalg.norm(y0)
-        if lemma_denom == 0.0 or cor_denom == 0.0:
-            raise ValueError("trivial initial condition, ratios undefined")
+    h = LEMMA_T_FINAL / LEMMA_N_GRID
+    times = h * np.arange(LEMMA_N_GRID + 1)
+    traj = micro_reference_trajectory(
+        ExactLinearMicro(members, h), np.tile(u0, (len(members), 1)), LEMMA_N_GRID
+    )
+    x = traj[..., 0]                                        # (n_grid+1, E)
+    z = traj[..., 1:] - x[..., None] * np.stack([m.a_inv_q for m in members])
+    x0, z0 = u0[0], z[0]
+    # One norm per member: the norms of a whole row are not bitwise theirs.
+    denom = np.array(
+        [eps * (abs(x0) + np.linalg.norm(w)) for eps, w in zip(eps_values, z0)]
+    )
+    if np.any(denom == 0.0):
+        raise ValueError("trivial initial condition, ratios undefined")
+    tail = times[:, None] >= [m.boundary_layer_time() for m in members]
+    if not tail[-1].all():
+        raise ValueError("an epsilon has no samples after its boundary layer")
 
-        h = t_final / n_grid
-        times = h * np.arange(n_grid + 1)
-        traj = micro_reference_trajectory(
-            ExactLinearMicro(system, h), u0, n_grid
-        )
+    # Fast transient e^(-A t/eps) z0 accumulated with the same grid step.
+    decay_step = np.stack(
+        [linalg.mat_exp(-m.A * (h / eps)) for eps, m in zip(eps_values, members)]
+    )
+    z_layer = np.empty_like(z)
+    z_layer[0] = w = z0
+    for j in range(LEMMA_N_GRID):
+        w = _matvec(decay_step, w)
+        z_layer[j + 1] = w
 
-        x = traj[:, 0]
-        z = traj[:, 1:] - np.outer(x, system.a_inv_q)
-
-        # Fast transient e^(-A t/eps) z0 accumulated with the same grid step.
-        decay_step = linalg.mat_exp(-system.A * (h / eps))
-        z_layer = np.empty_like(z)
-        w = z0.copy()
-        z_layer[0] = w
-        for j in range(n_grid):
-            w = decay_step @ w
-            z_layer[j + 1] = w
-
-        lam = system.macro_rate()
-        tail = times >= system.boundary_layer_time()
-
-        ratios["x_dev"][i] = np.max(np.abs(x - x0 * np.exp(lam * times))) / lemma_denom
-        ratios["z_layer_dev"][i] = (
-            np.max(np.linalg.norm(z - z_layer, axis=1)) / lemma_denom
-        )
-        ratios["z_tail"][i] = (
-            np.max(np.linalg.norm(z[tail], axis=1)) / lemma_denom
-        )
-        ratios["x_sup"][i] = np.max(np.abs(x)) / cor_denom
-        ratios["y_tail_sup"][i] = (
-            np.max(np.linalg.norm(traj[tail, 1:], axis=1)) / cor_denom
-        )
-
-    if eps_exclude_above is None:
-        flagged = np.ones(eps_values.size, dtype=bool)
-    else:
-        flagged = eps_values < eps_exclude_above
-    variation = {}
-    for name in ALL_FAMILIES:
-        vals = ratios[name][flagged]
-        if vals.size == 0 or np.min(vals) == 0.0:
-            variation[name] = math.inf
-        else:
-            variation[name] = float(np.max(vals) / np.min(vals))
-    ok = all(variation[name] <= flag_factor for name in LEMMA_FAMILIES)
-
+    lam = np.array([m.macro_rate() for m in members])
+    ratios = {
+        "x_dev": np.max(np.abs(x - x0 * np.exp(lam * times[:, None])), axis=0),
+        "z_layer_dev": np.max(np.linalg.norm(z - z_layer, axis=-1), axis=0),
+        "z_tail": np.max(np.linalg.norm(z, axis=-1), axis=0, where=tail, initial=0.0),
+    }
+    ratios = {name: r / denom for name, r in ratios.items()}
+    variation = {
+        name: float(np.max(r) / np.min(r)) if np.min(r) != 0.0 else math.inf
+        for name, r in ratios.items()
+    }
+    ok = all(v <= LEMMA_FLAG_FACTOR for v in variation.values())
     return LemmaDiagnostics(
-        eps_values=eps_values,
-        ratios=ratios,
-        variation=variation,
-        flagged_eps=eps_values[flagged],
-        flag_factor=flag_factor,
-        ok=ok,
+        eps_values=eps_values, ratios=ratios, variation=variation, ok=ok
     )
 
 

@@ -229,6 +229,10 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     if not isinstance(all_times, bool):
         raise CliError("all_times must be true or false")
 
+    out = pick("out", "-")
+    if not isinstance(out, str):
+        raise CliError(f"out must be a path string, got {out!r}")
+
     return ExperimentSpec(
         command=args.command,
         system=system,
@@ -242,7 +246,7 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
         kmax=kmax,
         substep=substep,
         u0=u0,
-        out=str(pick("out", "-")),
+        out=out,
         workers=workers,
         all_times=all_times,
         quadratic_lambda=_float_value(
@@ -295,8 +299,11 @@ def _write_output(text: str, out: str):
     if out == "-":
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise CliError(f"could not write --out: {exc}") from exc
 
 
 def _print_metadata(spec: ExperimentSpec):

@@ -327,11 +327,12 @@ def make_macro(system, dt: float, kind: str = "exact"):
 
 
 def micro_reference_trajectory(prop, u0: np.ndarray, n: int) -> np.ndarray:
-    """[u0, F(u0), ..., F^n(u0)], computed strictly sequentially."""
+    """[u0, F(u0), ..., F^n(u0)], computed strictly sequentially; an
+    (E, d) u0 of a grid propagator gives an (n+1, E, d) trajectory."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     u0 = np.asarray(u0, dtype=float)
-    out = np.empty((n + 1, u0.shape[0]))
+    out = np.empty((n + 1, *u0.shape))
     out[0] = u0
     u = u0
     for j in range(n):

@@ -328,11 +328,9 @@ def _witness_lemma_report():
 
 def check_lemma_ratio_stability():
     report = _toy_lemma_report()
-    spread = max(report.variation[f] for f in analysis.LEMMA_FAMILIES)
-    return (
-        report.ok,
-        f"worst ratio-family variation {spread:.2f} (< {report.flag_factor:g})",
-    )
+    spread = max(report.variation.values())
+    bound = analysis.LEMMA_FLAG_FACTOR
+    return report.ok, f"worst ratio-family variation {spread:.2f} (< {bound:g})"
 
 
 def check_sharpness_witness():

@@ -3,7 +3,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mmparareal import engine
+from mmparareal import engine, linalg
 from mmparareal.analysis import (
     TOY_U0,
     TooFewPointsError,
@@ -18,7 +18,9 @@ from mmparareal.analysis import (
     speedup_report,
 )
 from mmparareal.engine import AlgorithmVariant, PararealConfig, run
-from mmparareal.systems import builtin_quadratic, builtin_toy
+from mmparareal.propagators import ExactLinearMicro, micro_reference_trajectory
+from mmparareal.systems import LinearFastSlowSystem, builtin_quadratic, builtin_toy
+from mmparareal.verification import LEMMA_EPS
 
 
 class TestFitSlope:
@@ -230,6 +232,17 @@ class TestEpsilonOrder:
             epsilon_order(AlgorithmVariant.LIFTING, "exact", 1, [1e-3, 1e-2])
         assert engine_runs == []
 
+    @pytest.mark.parametrize("eps_values", [[], [1e-3]], ids=["empty", "single"])
+    def test_too_few_epsilons_rejected_before_any_build(self, eps_values):
+        def no_build(eps):
+            raise AssertionError("built a system for a grid with no slope")
+
+        with pytest.raises(TooFewPointsError):
+            epsilon_order(
+                AlgorithmVariant.LIFTING, "exact", 1, eps_values,
+                system_builder=no_build,
+            )
+
 
 class TestDtOrder:
     def test_single_dt_grid_is_degenerate(self):
@@ -245,8 +258,60 @@ class TestDtOrder:
         assert sorted(fit.xs.tolist()) == [5.0, 10.0, 20.0]
 
 
+def per_epsilon_lemma_ratios(system_builder, u0, eps_values):
+    """The closeness-bound ratios computed one epsilon at a time, with the
+    per-state trajectory and transient loops: the reference the grid
+    computation is pinned to."""
+    ratios = {name: [] for name in ("x_dev", "z_layer_dev", "z_tail")}
+    n_grid, h = 1000, 10.0 / 1000
+    times = h * np.arange(n_grid + 1)
+    for eps in eps_values:
+        system = system_builder(eps)
+        x0 = u0[0]
+        z0 = system.slow_manifold_offset(u0)
+        denom = eps * (abs(x0) + np.linalg.norm(z0))
+        traj = micro_reference_trajectory(ExactLinearMicro(system, h), u0, n_grid)
+        x = traj[:, 0]
+        z = traj[:, 1:] - np.outer(x, system.a_inv_q)
+        decay_step = linalg.mat_exp(-system.A * (h / eps))
+        z_layer = np.empty_like(z)
+        w = z0.copy()
+        z_layer[0] = w
+        for j in range(n_grid):
+            w = decay_step @ w
+            z_layer[j + 1] = w
+        tail = times >= system.boundary_layer_time()
+        ratios["x_dev"].append(
+            np.max(np.abs(x - x0 * np.exp(system.macro_rate() * times))) / denom
+        )
+        ratios["z_layer_dev"].append(
+            np.max(np.linalg.norm(z - z_layer, axis=1)) / denom
+        )
+        ratios["z_tail"].append(np.max(np.linalg.norm(z[tail], axis=1)) / denom)
+    return {name: np.array(r) for name, r in ratios.items()}
+
+
 class TestLemmaDiagnostics:
     EPS_GRID = [1e-5, 1e-4, 1e-3, 1e-2]
+
+    @pytest.mark.parametrize(
+        "eps_values", [LEMMA_EPS, [1e-4, 1e-3, 0.5]], ids=["lemma-eps", "wide"]
+    )
+    @pytest.mark.parametrize(
+        "system_builder, u0",
+        [(builtin_toy, TOY_U0), (sharpness_witness, np.array([1.0, 0.0]))],
+        ids=["toy", "witness"],
+    )
+    def test_grid_ratios_are_the_per_epsilon_ones(
+        self, system_builder, u0, eps_values
+    ):
+        diag = lemma_diagnostics(system_builder, u0, eps_values)
+        want = per_epsilon_lemma_ratios(system_builder, u0, eps_values)
+        assert diag.ratios.keys() == want.keys()
+        for name, ratios in want.items():
+            assert diag.ratios[name].tobytes() == ratios.tobytes(), name
+            assert diag.variation[name] == np.max(ratios) / np.min(ratios)
+        assert diag.ok == all(v <= 10.0 for v in diag.variation.values())
 
     def test_toy_ratios_stable_across_epsilon(self):
         diag = lemma_diagnostics(builtin_toy, TOY_U0, self.EPS_GRID)
@@ -262,15 +327,6 @@ class TestLemmaDiagnostics:
         )
         assert np.all(diag.ratios["z_tail"] >= 0.1)
 
-    def test_large_epsilon_excluded_from_flag(self):
-        grid = [1e-4, 1e-3, 0.5]
-        diag = lemma_diagnostics(
-            builtin_toy, TOY_U0, grid, eps_exclude_above=0.1
-        )
-        assert diag.flagged_eps.tolist() == [1e-4, 1e-3]
-        assert diag.ratios["z_tail"].size == 3
-        assert diag.ok
-
     def test_trivial_initial_condition_rejected(self):
         with pytest.raises(ValueError):
             lemma_diagnostics(builtin_toy, np.zeros(3), [1e-3])
@@ -282,6 +338,21 @@ class TestLemmaDiagnostics:
                 np.array([1.0, 1.0]),
                 [1e-3],
             )
+
+    def test_epsilon_without_tail_samples_rejected(self):
+        # A fast block relaxing at rate 0.01/eps: at eps = 0.3 the boundary
+        # layer outlasts the sampled interval [0, 10].
+        def slow_layer(eps):
+            return LinearFastSlowSystem(
+                alpha=-1.0, p=[0.0], q=[1.0], A=[[0.01]], epsilon=eps
+            )
+
+        with pytest.raises(ValueError, match="boundary layer"):
+            lemma_diagnostics(slow_layer, np.array([1.0, 0.0]), [1e-3, 0.3])
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError):
+            lemma_diagnostics(builtin_toy, TOY_U0, [])
 
 
 class TestSpeedup:

@@ -2,10 +2,13 @@
 run. Installing its tracer here makes a rename or deletion of any of those
 names fail the suite, not the next traced benchmark run."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from mmparareal import verification
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -87,3 +90,15 @@ def test_traced_sweep_writes_the_untraced_csv():
     # reference propagators (mapped over the pool at 2 workers) and the
     # transfer set all pass through the tracer's proxies.
     run_with_tracing(TRACED_SWEEP)
+
+
+def test_check_names_are_the_declared_check_metrics():
+    # A traced benchmark run emits one verification.check_s.<name> metric
+    # per verify check and fails unless they are the declared ones, so a
+    # renamed, added or removed check needs the benchmark declaration too.
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    prefix = "verification.check_s."
+    metrics = [
+        m["name"][len(prefix):] for m in declared if m["name"].startswith(prefix)
+    ]
+    assert sorted(name for name, _ in verification.CHECKS) == sorted(metrics)

@@ -251,6 +251,16 @@ class TestValidationErrors:
                      "--fine", "exact"]) == 1
         assert "linear" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["no-dir", "dir"])
+    def test_unwritable_out_exits_1(self, tmp_path, capsys, target):
+        out = tmp_path / target
+        argv = ["sweep-k", "--T", "1", "--kmax", "1", "--workers", "1",
+                "--epsilons", "1e-3", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: could not write --out" in err
+        assert str(out) in err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"stepsize": 0.1}))
@@ -273,6 +283,8 @@ class TestValidationErrors:
             {"kmax": 1.7},
             {"workers": 2.5},
             {"algorithm": "2"},
+            {"out": 3},
+            {"out": None},
         ],
         ids=[
             "dt-list",
@@ -282,6 +294,8 @@ class TestValidationErrors:
             "kmax-float",
             "workers-float",
             "algorithm-string",
+            "out-number",
+            "out-null",
         ],
     )
     def test_config_value_of_wrong_type(self, tmp_path, capsys, config):

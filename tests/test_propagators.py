@@ -502,6 +502,22 @@ class TestReferenceTrajectory:
         with pytest.raises(ValueError):
             micro_reference_trajectory(prop, U0, -1)
 
+    @pytest.mark.parametrize("kind", ["exact", "euler"])
+    def test_grid_start_gives_each_members_trajectory(self, kind):
+        # An (E, d) start of a grid propagator: slot e of every step is
+        # member e's own trajectory, bit for bit.
+        members = tuple(builtin_toy(eps) for eps in (1e-1, 1e-2, 1e-3))
+        starts = np.array([U0, [0.5, -1.0, 2.0], [-0.3, 0.2, 0.1]])
+        traj = micro_reference_trajectory(
+            make_micro(members, 0.1, kind, substep=1e-4), starts, 5
+        )
+        assert traj.shape == (6, 3, 3)
+        for e, member in enumerate(members):
+            own = micro_reference_trajectory(
+                make_micro(member, 0.1, kind, substep=1e-4), starts[e], 5
+            )
+            assert traj[:, e].tobytes() == own.tobytes(), e
+
     def test_semigroup_property(self):
         system = builtin_toy(1e-2)
         traj = micro_reference_trajectory(make_micro(system, 0.1, "exact"), U0, 10)
