@@ -295,6 +295,18 @@ def _emit_tables(tables, spec: ExperimentSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_out(out: str):
+    """Reject an --out that cannot be opened for writing before any run,
+    without creating or truncating the file."""
+    if out == "-":
+        return
+    directory = os.path.dirname(out) or "."
+    if os.path.isdir(out):
+        raise CliError(f"could not write --out: {out} is a directory")
+    if not os.path.isdir(directory):
+        raise CliError(f"could not write --out: {out}: no directory {directory}")
+
+
 def _write_output(text: str, out: str):
     if out == "-":
         sys.stdout.write(text)
@@ -330,16 +342,18 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
     dt of its grid at the first epsilon, the other two the epsilon grid at
     --dt in one run.
     """
+    _check_out(spec.out)
     _print_metadata(spec)
     if spec.command == "sweep-dt":
         groups = [(dt, spec.epsilons[:1]) for dt in spec.dts]
     else:
         groups = [(spec.dt, spec.epsilons)]
+    # Every group's config is checked before the first run.
+    configs = [_config(spec, dt, eps[0], epsilons=eps) for dt, eps in groups]
     pool = engine.worker_pool(spec.workers) if spec.workers > 1 else None
     try:
         tables = []
-        for dt, eps in groups:
-            config = _config(spec, dt, eps[0], epsilons=eps)
+        for config in configs:
             tables += analysis.grid_tables(config, spec.system, spec.workers, pool)
     finally:
         if pool is not None:

@@ -33,7 +33,8 @@ the interval axis, (K+1, N+1, E, d). Only the micro propagator sees epsilon;
 every other step acts on the last axis and broadcasts over the grid, so the
 sweep (2c) makes N Python steps for all E members at once, and member e's
 slice is bitwise the lattice of its own run. The reference is one
-sequential trajectory per member, mapped over the run's pool if it has one.
+sequential trajectory per member; with a pool its tasks run beside the
+iterations.
 
 DAE_COARSE is the plain parareal iteration whose coarse propagator is the
 composition lift . C . restrict; that identification only holds for the
@@ -49,11 +50,10 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
-from itertools import repeat
 from typing import Optional
 
 import multiprocessing
@@ -241,24 +241,17 @@ def parareal_iteration(run: PararealRun, k: int, workers: int = 1, pool=None):
 
 
 def _member_reference(prop, u0: np.ndarray, n: int) -> np.ndarray:
-    # pool.map pickles the function it maps by name, and a wrapper installed
-    # over micro_reference_trajectory (perfbench's tracer installs one)
-    # would not pickle; this function looks it up in the worker.
+    # A pool task pickles the function it runs by name, and a wrapper
+    # installed over micro_reference_trajectory (perfbench's tracer installs
+    # one) would not pickle; this function looks it up in the worker.
     return micro_reference_trajectory(prop, u0, n)
 
 
-def _grid_reference(config: PararealConfig, pool) -> np.ndarray:
-    """(N+1, E, d): one sequential trajectory per member, by its own micro
-    propagator."""
-    props = [
-        make_micro(m, config.dt, config.micro_kind, config.substep)
-        for m in config.members
-    ]
-    mapper = map if pool is None else pool.map
-    trajectories = mapper(
-        _member_reference, props, repeat(config.u0), repeat(config.n_intervals)
-    )
-    return np.stack(list(trajectories), axis=1)
+def _run_now(func, *args) -> Future:
+    """func(*args), called here and now, as a finished Future."""
+    future = Future()
+    future.set_result(func(*args))
+    return future
 
 
 def run(config: PararealConfig, workers: int = 1, pool=None) -> PararealRun:
@@ -266,25 +259,42 @@ def run(config: PararealConfig, workers: int = 1, pool=None) -> PararealRun:
 
     With workers > 1 the run forks its own pool and shuts it down on return,
     unless the caller passes one in pool, which the run uses and leaves
-    running.
+    running. The reference is one sequential trajectory per member, by its
+    own micro propagator. It never feeds the iteration, so with a pool it is
+    submitted as one task per member before iteration 0 and gathered after
+    the last iteration; without one it is stepped first, in this process.
     """
     r = init_sweep(config)
 
     own_pool = pool is None and workers > 1
+    references = []
     try:
         if own_pool:
             pool = worker_pool(workers)
         if config.with_reference:
-            r.reference = (
-                micro_reference_trajectory(r.micro_prop, config.u0, config.n_intervals)
-                if config.members is None
-                else _grid_reference(config, pool)
-            )
+            props = [r.micro_prop] if config.members is None else [
+                make_micro(m, config.dt, config.micro_kind, config.substep)
+                for m in config.members
+            ]
+            submit = _run_now if pool is None else pool.submit
+            references = [
+                submit(_member_reference, p, config.u0, config.n_intervals)
+                for p in props
+            ]
         for k in range(config.n_iterations):
             parareal_iteration(r, k, workers=workers, pool=pool)
+        if references:
+            trajectories = [future.result() for future in references]
+            r.reference = (
+                trajectories[0] if config.members is None
+                else np.stack(trajectories, axis=1)
+            )
     finally:
+        # After an error, reference tasks still queued do not run.
+        for future in references:
+            future.cancel()
         if own_pool:
-            pool.shutdown()
+            pool.shutdown(cancel_futures=True)
     return r
 
 

@@ -251,20 +251,28 @@ def _lattices_identical(runs) -> bool:
     )
 
 
+def _lattices(config, workers=1, pool=None):
+    """The u and x lattices of one engine.run. A pool task pickles the
+    function it runs by name, so the check submits this one."""
+    run = engine.run(config, workers=workers, pool=pool)
+    return run.u, run.x
+
+
 def check_determinism_across_workers():
-    runs = [
-        _toy_run(
-            AlgorithmVariant.MATCHING,
-            kmax=2,
-            coarse="euler",
-            fine="euler",
-            substep=1e-4,
-            with_reference=False,
-            workers=w,
-        )
-        for w in (1, 2)
-    ]
-    return _lattices_identical(runs), "lattices bit-identical for 1 and 2 workers"
+    config = _toy_config(
+        AlgorithmVariant.MATCHING, kmax=2, coarse="euler", fine="euler",
+        substep=1e-4, with_reference=False,
+    )
+    # One process steps the 1-worker run's whole rows while the 2-worker
+    # run's two slabs go to the other two, so the two runs overlap.
+    pool = engine.worker_pool(3)
+    try:
+        alone = pool.submit(_lattices, config)
+        split = _lattices(config, workers=2, pool=pool)
+        same = all(map(np.array_equal, alone.result(), split))
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return same, "lattices bit-identical for 1 and 2 workers"
 
 
 def check_euler_micro_order():

@@ -102,3 +102,25 @@ def test_check_names_are_the_declared_check_metrics():
         m["name"][len(prefix):] for m in declared if m["name"].startswith(prefix)
     ]
     assert sorted(name for name, _ in verification.CHECKS) == sorted(metrics)
+
+
+TRACED_VERIFY = """
+import contextlib, io
+from mmparareal import cli
+import tracing, workloads
+
+tracer = tracing.Tracer()
+tracing.install(tracer)
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert cli.main(["verify"]) == 0, out.getvalue()
+n = workloads.VERIFY_CHECKS
+assert out.getvalue().splitlines()[-1] == f"{n}/{n} checks passed", out.getvalue()
+assert tracer.checks_passed == n
+"""
+
+
+def test_traced_verify_passes_every_check():
+    # The benchmark's traced verify: the determinism check submits a run to
+    # its pool under the tracer's wrappers.
+    run_with_tracing(TRACED_VERIFY)

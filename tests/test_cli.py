@@ -14,7 +14,7 @@ import pytest
 from mmparareal import analysis, engine
 from mmparareal.cli import CSV_HEADER, main
 from mmparareal.engine import AlgorithmVariant, worker_pool
-from mmparareal.propagators import EulerMicro
+from mmparareal.propagators import EulerMicro, NonFiniteStateError
 from mmparareal.systems import builtin_quadratic, builtin_toy
 
 TOY_U0 = np.array([1.0, 0.0, 0.0])
@@ -22,6 +22,15 @@ TOY_U0 = np.array([1.0, 0.0, 0.0])
 
 def rows_of(text):
     return list(csv.DictReader(io.StringIO(text)))
+
+
+def _no_run(*args, **kwargs):
+    raise AssertionError("engine.run called")
+
+
+def _blown_up_reference(prop, u0, n):
+    # Module level, so that a pool task pickles it by name.
+    raise NonFiniteStateError("non-finite state in the reference")
 
 
 def run_to_file(tmp_path, name, *argv):
@@ -252,7 +261,9 @@ class TestValidationErrors:
         assert "linear" in capsys.readouterr().err
 
     @pytest.mark.parametrize("target", ["missing/x.csv", "."], ids=["no-dir", "dir"])
-    def test_unwritable_out_exits_1(self, tmp_path, capsys, target):
+    def test_unwritable_out_exits_1(self, tmp_path, capsys, monkeypatch, target):
+        # Rejected before any run, and nothing is created.
+        monkeypatch.setattr(engine, "run", _no_run)
         out = tmp_path / target
         argv = ["sweep-k", "--T", "1", "--kmax", "1", "--workers", "1",
                 "--epsilons", "1e-3", "--out", str(out)]
@@ -260,6 +271,30 @@ class TestValidationErrors:
         err = capsys.readouterr().err
         assert "error: could not write --out" in err
         assert str(out) in err
+        assert not (tmp_path / "missing").exists()
+
+    def test_writable_out_is_not_created_before_the_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The run fails after the --out check: no file is left behind.
+        monkeypatch.setattr(engine, "_member_reference", _blown_up_reference)
+        out = tmp_path / "x.csv"
+        argv = ["sweep-k", "--T", "1", "--kmax", "1", "--epsilons", "1e-3",
+                "--workers", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert "NonFiniteStateError: non-finite state in the reference" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+        assert multiprocessing.active_children() == []
+
+    def test_sweep_dt_checks_every_group_before_running(self, capsys, monkeypatch):
+        # dt = 0.1 is fine, dt = 0.3 does not divide T = 1.
+        monkeypatch.setattr(engine, "run", _no_run)
+        assert main(["sweep-dt", "--system", "brusselator", "--T", "1",
+                     "--dts", "0.1,0.3", "--epsilons", "1e-3",
+                     "--workers", "1"]) == 1
+        assert "t_final/dt" in capsys.readouterr().err
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"

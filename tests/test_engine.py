@@ -1,8 +1,10 @@
+import multiprocessing
 from functools import partial
 
 import numpy as np
 import pytest
 
+from mmparareal import engine
 from mmparareal.engine import (
     AlgorithmVariant,
     InconsistentRowError,
@@ -13,6 +15,7 @@ from mmparareal.engine import (
     run,
     worker_pool,
 )
+from mmparareal.propagators import NonFiniteStateError
 from mmparareal.systems import builtin_brusselator, builtin_quadratic, builtin_toy
 
 U0 = np.array([1.0, 0.0, 0.0])
@@ -261,6 +264,58 @@ class TestWorkerInvariance:
         assert len(r.timings.fine_wall) == 2
         assert len(r.timings.fine_task_seconds) == 2
         assert all(t > 0 for t in r.timings.fine_task_seconds)
+
+
+def _blown_up_reference(prop, u0, n):
+    # Module level, so that a pool task pickles it by name.
+    raise NonFiniteStateError("non-finite state in the reference")
+
+
+def _euler_config(system, u0, variant, **kw):
+    # N = 10 and K = 2 with Euler fine and coarse, substep 1e-3.
+    return PararealConfig(
+        system=system, t_final=1.0, dt=0.1, n_iterations=2, variant=variant,
+        u0=np.array(u0), micro_kind="euler", macro_kind="euler", substep=1e-3,
+        **kw,
+    )
+
+
+REFERENCE_CASES = [
+    pytest.param(
+        lambda: _euler_config(
+            builtin_brusselator(1e-2), [1.0, 1.0, 3.0], AlgorithmVariant.MATCHING
+        ),
+        id="brusselator-plain",
+    ),
+    pytest.param(
+        lambda: _euler_config(
+            builtin_quadratic(1.0, 1e-2), [1.0, 0.0], AlgorithmVariant.LIFTING,
+            epsilons=(1e-2, 3e-3, 1e-3),
+        ),
+        id="quadratic-grid",
+    ),
+]
+
+
+class TestReferenceInPool:
+    """With a pool the reference runs as tasks beside the iterations."""
+
+    @pytest.mark.parametrize("make_config", REFERENCE_CASES)
+    def test_bitwise_the_one_worker_run(self, make_config):
+        config = make_config()
+        alone = run(config, workers=1)
+        for workers in (2, 4):
+            pooled = run(config, workers=workers)
+            assert multiprocessing.active_children() == []
+            for name in ("u", "x", "reference"):
+                assert np.array_equal(getattr(pooled, name), getattr(alone, name))
+
+    @pytest.mark.parametrize("make_config", REFERENCE_CASES)
+    def test_reference_failure_raises(self, make_config, monkeypatch):
+        monkeypatch.setattr(engine, "_member_reference", _blown_up_reference)
+        with pytest.raises(NonFiniteStateError, match="in the reference"):
+            run(make_config(), workers=2)
+        assert multiprocessing.active_children() == []
 
 
 GRID_CASES = [

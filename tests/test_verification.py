@@ -1,8 +1,10 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
-from mmparareal import verification
-from mmparareal.engine import AlgorithmVariant
+from mmparareal import engine, verification
+from mmparareal.engine import AlgorithmVariant, _fine_slab
 from mmparareal.transfer import TransferSet
 
 
@@ -39,6 +41,35 @@ class TestTamperSensitivity:
     def test_tampered_matching_is_flagged(self):
         run = verification._tampered_run(kmax=2)
         assert verification._consistency_violation(run) > 1e-13
+
+
+# The determinism check's row: N = 100 intervals.
+ROW = verification._toy_config(AlgorithmVariant.MATCHING).n_intervals
+
+
+def _split_slabs_one_ulp_off(prop, states):
+    # engine._fine_slab, except that a slab shorter than the row ends one
+    # ulp higher. Module level, so that a pool task pickles it by name.
+    ends, seconds = _fine_slab(prop, states)
+    if len(states) < ROW:
+        ends = np.nextafter(ends, np.inf)
+    return ends, seconds
+
+
+class TestDeterminismCheck:
+    def test_passes_and_leaves_no_child(self):
+        assert verification.check_determinism_across_workers() == (
+            True, "lattices bit-identical for 1 and 2 workers"
+        )
+        assert multiprocessing.active_children() == []
+
+    def test_split_slabs_one_ulp_off_fail(self, monkeypatch):
+        # The 1-worker run steps whole rows and the 2-worker run half rows,
+        # both in the check's pool, whose workers fork after this patch.
+        monkeypatch.setattr(engine, "_fine_slab", _split_slabs_one_ulp_off)
+        ok, _ = verification.check_determinism_across_workers()
+        assert not ok
+        assert multiprocessing.active_children() == []
 
 
 class TestRecursionDefect:
