@@ -170,18 +170,9 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     algorithm = _int_value("algorithm", pick("algorithm", 2))
     if algorithm not in (1, 2, 3):
         raise CliError("algorithm must be 1, 2, or 3")
-    if algorithm == 3 and not linear:
-        raise CliError("algorithm 3 needs the linear coarse model (toy system)")
 
     coarse = pick("coarse", "exact" if linear else "euler")
     fine = pick("fine", "exact" if linear else "euler")
-    for name, kind, kinds in (
-        ("coarse", coarse, COARSE_KINDS), ("fine", fine, FINE_KINDS)
-    ):
-        if kind not in kinds:
-            raise CliError(f"{name} must be one of {kinds}, got {kind!r}")
-        if kind == "exact" and not linear:
-            raise CliError(f"exact {name} propagator needs the linear model")
 
     default_eps = [1e-2] if args.command == "speedup" else DEFAULT_EPS_GRID
     epsilons = _parse_float_list(pick("epsilons", default_eps), "--epsilons")
@@ -200,8 +191,6 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     kmax = _int_value(
         "kmax", pick("kmax", _default_kmax(args.command, algorithm, coarse))
     )
-    if kmax < 0:
-        raise CliError("kmax must be >= 0")
 
     substep = pick("delta_t_fine", None)
     if substep is None and fine == "euler":
@@ -300,6 +289,8 @@ def _check_out(out: str):
     without creating or truncating the file."""
     if out == "-":
         return
+    if not out:
+        raise CliError("could not write --out: the path is empty")
     directory = os.path.dirname(out) or "."
     if os.path.isdir(out):
         raise CliError(f"could not write --out: {out} is a directory")
@@ -343,13 +334,13 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
     --dt in one run.
     """
     _check_out(spec.out)
-    _print_metadata(spec)
     if spec.command == "sweep-dt":
         groups = [(dt, spec.epsilons[:1]) for dt in spec.dts]
     else:
         groups = [(spec.dt, spec.epsilons)]
-    # Every group's config is checked before the first run.
+    # Every group's config is checked before the metadata and the first run.
     configs = [_config(spec, dt, eps[0], epsilons=eps) for dt, eps in groups]
+    _print_metadata(spec)
     pool = engine.worker_pool(spec.workers) if spec.workers > 1 else None
     try:
         tables = []
@@ -373,24 +364,26 @@ def cmd_verify() -> int:
 
 
 def cmd_speedup(spec: ExperimentSpec) -> int:
-    _print_metadata(spec)
+    _check_out(spec.out)
     config = _config(spec, spec.dt, spec.epsilons[0], with_reference=False)
+    _print_metadata(spec)
     n = config.n_intervals
     if spec.kmax == 0:
-        print(f"N = {n} intervals; no iterations, ideal speed-up undefined")
-        return 0
-
-    ladder = [w for w in (1, 2, 4) if w <= spec.workers] or [1]
-    print(f"N = {n} intervals, K = {spec.kmax} iterations")
-    ideal = n / spec.kmax
-    print(f"ideal speed-up N/K = {analysis.format_ideal_speedup(ideal)}")
-    for w in ladder:
-        report = analysis.speedup_report(engine.run(config, workers=w))
-        print(
-            f"workers={w}  fine-stage wall {report.fine_wall_seconds:.3f} s  "
-            f"task-sum {report.fine_task_seconds:.3f} s  "
-            f"measured ratio {report.measured_ratio:.2f}"
-        )
+        lines = [f"N = {n} intervals; no iterations, ideal speed-up undefined"]
+    else:
+        ideal = n / spec.kmax
+        lines = [
+            f"N = {n} intervals, K = {spec.kmax} iterations",
+            f"ideal speed-up N/K = {analysis.format_ideal_speedup(ideal)}",
+        ]
+        for w in [w for w in (1, 2, 4) if w <= spec.workers] or [1]:
+            report = analysis.speedup_report(engine.run(config, workers=w))
+            lines.append(
+                f"workers={w}  fine-stage wall {report.fine_wall_seconds:.3f} s  "
+                f"task-sum {report.fine_task_seconds:.3f} s  "
+                f"measured ratio {report.measured_ratio:.2f}"
+            )
+    _write_output("\n".join(lines) + "\n", spec.out)
     return 0
 
 

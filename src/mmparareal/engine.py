@@ -120,6 +120,14 @@ class PararealConfig:
             self.members = tuple(
                 dataclasses.replace(self.system, epsilon=e) for e in self.epsilons
             )
+        # The run's propagators, built here so that an unknown kind, an exact
+        # propagator of a nonlinear system, an inexact dt/substep and every
+        # member's Euler stiffness guard reject the config before any run.
+        self.micro_prop = make_micro(
+            self.system if self.members is None else self.members,
+            self.dt, self.micro_kind, self.substep,
+        )
+        self.macro_prop = make_macro(self.system, self.dt, self.macro_kind)
 
 
 @dataclass
@@ -156,18 +164,11 @@ def init_sweep(config: PararealConfig) -> PararealRun:
 
     u[0][0] is the given initial condition, not its lifted slow part.
     """
-    system, members = config.system, config.members
-    # Every member's micro propagator, and with it the Euler stiffness
-    # guard, is built before any step.
-    micro = make_micro(
-        system if members is None else members,
-        config.dt, config.micro_kind, config.substep,
-    )
-    macro = make_macro(system, config.dt, config.macro_kind)
+    system, macro = config.system, config.macro_prop
     tset = transfer_for(system)
 
     k_max, n = config.n_iterations, config.n_intervals
-    grid = () if members is None else (len(members),)
+    grid = () if config.members is None else (len(config.members),)
     u = np.full((k_max + 1, n + 1, *grid, system.dim), np.nan)
     x = np.full((k_max + 1, n + 1, *grid, system.slow_dim), np.nan)
 
@@ -184,7 +185,7 @@ def init_sweep(config: PararealConfig) -> PararealRun:
         x=x,
         reference=None,
         timings=RunTimings(),
-        micro_prop=micro,
+        micro_prop=config.micro_prop,
         macro_prop=macro,
         transfer=tset,
     )

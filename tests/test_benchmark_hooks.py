@@ -38,16 +38,22 @@ from mmparareal.engine import AlgorithmVariant, PararealConfig
 from mmparareal.systems import builtin_quadratic
 import tracing
 
-config = PararealConfig(
-    system=builtin_quadratic(1.0, 1e-2), t_final=1.0, dt=0.1, n_iterations=2,
-    variant=AlgorithmVariant.MATCHING, u0=np.array([1.0, 0.0]),
-    micro_kind="euler", macro_kind="euler", substep=1e-3,
-)
-plain = {w: engine.run(config, workers=w) for w in (1, 2)}
+def config():
+    return PararealConfig(
+        system=builtin_quadratic(1.0, 1e-2), t_final=1.0, dt=0.1, n_iterations=2,
+        variant=AlgorithmVariant.MATCHING, u0=np.array([1.0, 0.0]),
+        micro_kind="euler", macro_kind="euler", substep=1e-3,
+    )
+
+plain_config = config()
+plain = {w: engine.run(plain_config, workers=w) for w in (1, 2)}
 tracer = tracing.Tracer()
 tracing.install(tracer)
+# A config builds its propagators, so the traced runs need one built after
+# install.
+traced_config = config()
 for w in (1, 2):
-    traced = engine.run(config, workers=w)
+    traced = engine.run(traced_config, workers=w)
     for name in ("u", "x", "reference"):
         assert np.array_equal(getattr(traced, name), getattr(plain[w], name)), (w, name)
     assert np.array_equal(traced.u, plain[1].u), w
@@ -90,6 +96,36 @@ def test_traced_sweep_writes_the_untraced_csv():
     # reference propagators (mapped over the pool at 2 workers) and the
     # transfer set all pass through the tracer's proxies.
     run_with_tracing(TRACED_SWEEP)
+
+
+TRACED_SPEEDUP = """
+import contextlib, io
+from mmparareal import cli
+import tracing
+
+def report():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        argv = ["speedup", "--fine", "euler", "--kmax", "1", "--T", "1", "--workers", "2"]
+        assert cli.main(argv) == 0
+    # The timings differ from run to run; the lines and their labels do not.
+    return [line.split("  fine-stage")[0] for line in out.getvalue().splitlines()]
+
+plain = report()
+tracer = tracing.Tracer()
+tracing.install(tracer)
+assert report() == plain, plain
+assert plain[-2:] == ["workers=1", "workers=2"], plain
+assert tracer.counters["micro_rhs"].calls > 0
+assert tracer.computed["euler_micro"].calls > 0
+"""
+
+
+def test_traced_speedup_reuses_one_config_propagator():
+    # speedup runs one config at each worker count, so the traced Euler
+    # micro propagator, with its timed rhs, serves several runs in process
+    # and is pickled to pool workers.
+    run_with_tracing(TRACED_SPEEDUP)
 
 
 def test_check_names_are_the_declared_check_metrics():

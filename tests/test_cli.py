@@ -296,6 +296,53 @@ class TestValidationErrors:
                      "--workers", "1"]) == 1
         assert "t_final/dt" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sweep-dt", "speedup"])
+    @pytest.mark.parametrize(
+        "argv, config, match",
+        [
+            (["--system", "brusselator", "--T", "1.2", "--dts", "0.12,0.1",
+              "--delta-t-fine", "6e-5", "--epsilons", "1e-3"], None, "dt/substep"),
+            (["--system", "quadratic", "--algorithm", "3"], None, "linear"),
+            (["--system", "brusselator", "--fine", "exact"], None, "linear"),
+            ([], {"coarse": "rk7"}, "kind"),
+            (["--kmax", "-1"], None, "n_iterations must be >= 0"),
+        ],
+        ids=["inexact-substep", "dae-nonlinear", "exact-fine-nonlinear",
+             "unknown-coarse", "negative-kmax"],
+    )
+    def test_config_rejected_before_metadata_and_runs(
+        self, tmp_path, capsys, monkeypatch, command, argv, config, match
+    ):
+        # Every config of the command is built, and so checked, before the
+        # run metadata is printed and before any run.
+        monkeypatch.setattr(engine, "run", _no_run)
+        argv = [command, *argv, "--workers", "1"]
+        if config is not None:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps(config))
+            argv += ["--config", str(path)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        assert match in err
+        assert "# system=" not in err
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_empty_out_exits_1_before_any_run(
+        self, tmp_path, capsys, monkeypatch, source
+    ):
+        monkeypatch.setattr(engine, "run", _no_run)
+        argv = ["sweep-k", "--T", "1", "--kmax", "1", "--epsilons", "1e-3",
+                "--workers", "1"]
+        if source == "flag":
+            argv += ["--out", ""]
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"out": ""}))
+            argv += ["--config", str(path)]
+        assert main(argv) == 1
+        assert "error: could not write --out" in capsys.readouterr().err
+
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"stepsize": 0.1}))
@@ -522,6 +569,27 @@ class TestSpeedup:
         assert code == 0
         out = capsys.readouterr().out
         assert "N = 100 intervals; no iterations, ideal speed-up undefined" in out
+
+    def test_report_goes_to_out(self, tmp_path, capsys):
+        out = tmp_path / "sp.txt"
+        code = main(["speedup", "--kmax", "0", "--workers", "1", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == (
+            "N = 100 intervals; no iterations, ideal speed-up undefined\n"
+        )
+
+    def test_unwritable_out_exits_1_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(engine, "run", _no_run)
+        out = tmp_path / "missing" / "x"
+        code = main(["speedup", "--kmax", "1", "--T", "1", "--workers", "1",
+                     "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error: could not write --out" in err
+        assert "# system=" not in err
 
 
 class TestVerifySubcommand:

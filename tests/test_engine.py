@@ -75,6 +75,40 @@ class TestConfigValidation:
                 u0=np.array([1.0, 1.0]),
             )
 
+    @pytest.mark.parametrize(
+        "system, options, match",
+        [
+            (builtin_toy(1e-3), {"micro_kind": "rk7"}, "micro propagator kind"),
+            (builtin_toy(1e-3), {"macro_kind": "rk7"}, "macro propagator kind"),
+            (builtin_quadratic(1.0, 1e-3), {"micro_kind": "exact",
+             "macro_kind": "euler"}, "exact micro propagator requires the linear"),
+            (builtin_quadratic(1.0, 1e-3), {"micro_kind": "euler",
+             "macro_kind": "exact"}, "exact macro propagator requires the linear"),
+            (builtin_toy(1e-3), {"micro_kind": "euler", "substep": 3e-5},
+             "dt/substep"),
+            (builtin_toy(1e-3), {"micro_kind": "euler", "substep": 2.5e-5,
+             "epsilons": (1e-3, 5e-6)}, "stable substeps are below 2.00004e-05"),
+        ],
+        ids=["micro-kind", "macro-kind", "exact-micro-nonlinear",
+             "exact-macro-nonlinear", "inexact-substep", "second-member-stiff"],
+    )
+    def test_propagator_rules_reject_the_config(self, system, options, match):
+        # The config builds the run's propagators, so each of their rules
+        # fails at construction, before any run.
+        with pytest.raises(ValueError, match=match):
+            PararealConfig(
+                system=system, t_final=1.0, dt=0.1, n_iterations=1,
+                variant=AlgorithmVariant.MATCHING, u0=np.zeros(system.dim),
+                **options,
+            )
+
+    def test_run_steps_with_the_config_propagators(self):
+        cfg = toy_config(AlgorithmVariant.MATCHING, 1, micro_kind="euler",
+                         macro_kind="euler", substep=1e-4)
+        r = init_sweep(cfg)
+        assert r.micro_prop is cfg.micro_prop
+        assert r.macro_prop is cfg.macro_prop
+
     def test_variant_accepts_plain_integers(self):
         cfg = toy_config(2, 1)
         assert cfg.variant is AlgorithmVariant.MATCHING
