@@ -59,7 +59,13 @@ from typing import Optional
 import multiprocessing
 import numpy as np
 
-from .propagators import make_macro, make_micro, micro_reference_trajectory, step_count
+from .propagators import (
+    NonFiniteStateError,
+    make_macro,
+    make_micro,
+    micro_reference_trajectory,
+    step_count,
+)
 from .systems import NonlinearFastSlowSystem
 from .transfer import TransferSet, transfer_for
 
@@ -201,43 +207,52 @@ def parareal_iteration(run: PararealRun, k: int, workers: int = 1, pool=None):
     n = config.n_intervals
     micro, macro, tset = run.micro_prop, run.macro_prop, run.transfer
 
-    # (2a) fine endpoints: pure map over contiguous slabs of row k, gathered
-    # in slab order; ubar[j] is the endpoint of interval j+1.
-    if pool is None:
-        slabs, mapper = [run.u[k][:-1]], map
-    else:
-        slabs, mapper = np.array_split(run.u[k][:-1], workers), pool.map
-    t0 = time.perf_counter()
-    results = list(mapper(partial(_fine_slab, micro), slabs))
-    run.timings.fine_wall.append(time.perf_counter() - t0)
-    run.timings.fine_task_seconds.append(sum(sec for _, sec in results))
-    ubar = np.concatenate([ends for ends, _ in results])
+    # A blow-up is re-raised naming where it happened.
+    stage = "2a (fine)"
+    try:
+        # (2a) fine endpoints: pure map over contiguous slabs of row k,
+        # gathered in slab order; ubar[j] is the endpoint of interval j+1.
+        if pool is None:
+            slabs, mapper = [run.u[k][:-1]], map
+        else:
+            slabs, mapper = np.array_split(run.u[k][:-1], workers), pool.map
+        t0 = time.perf_counter()
+        results = list(mapper(partial(_fine_slab, micro), slabs))
+        run.timings.fine_wall.append(time.perf_counter() - t0)
+        run.timings.fine_task_seconds.append(sum(sec for _, sec in results))
+        ubar = np.concatenate([ends for ends, _ in results])
 
-    t0 = time.perf_counter()
-    # (2a, coarse part) and (2b): jumps[j] is the jump on interval j+1.
-    jumps = tset.restrict(ubar) - macro.step(run.x[k][:-1])
+        stage = "2b (jumps)"
+        t0 = time.perf_counter()
+        # (2a, coarse part) and (2b): jumps[j] is the jump on interval j+1.
+        jumps = tset.restrict(ubar) - macro.step(run.x[k][:-1])
 
-    # (2c) corrected sequential sweep, ascending n for determinism.
-    x_new = run.x[k + 1]
-    x_new[0] = tset.restrict(config.u0)
-    for j in range(n):
-        x_new[j + 1] = macro.step(x_new[j]) + jumps[j]
-
-    # (2d) rebuild the full states.
-    u_new = run.u[k + 1]
-    u_new[0] = config.u0
-    variant = config.variant
-    if variant is AlgorithmVariant.LIFTING:
-        u_new[1:] = tset.lift(x_new[1:])
-    elif variant is AlgorithmVariant.MATCHING:
-        u_new[1:] = tset.match(x_new[1:], ubar)
-    else:  # DAE_COARSE: u[k+1][j+1] needs u[k+1][j], so it is sequential
-        old_coarse = macro.step(tset.restrict(run.u[k][:-1]))
+        stage = "2c (corrected sweep)"
+        # (2c) corrected sequential sweep, ascending n for determinism.
+        x_new = run.x[k + 1]
+        x_new[0] = tset.restrict(config.u0)
         for j in range(n):
-            delta = macro.step(tset.restrict(u_new[j])) - old_coarse[j]
-            u_new[j + 1] = ubar[j] + tset.lift(delta)
-    run.timings.sweep_wall.append(time.perf_counter() - t0)
+            x_new[j + 1] = macro.step(x_new[j]) + jumps[j]
 
+        stage = "2d (rebuild)"
+        # (2d) rebuild the full states.
+        u_new = run.u[k + 1]
+        u_new[0] = config.u0
+        variant = config.variant
+        if variant is AlgorithmVariant.LIFTING:
+            u_new[1:] = tset.lift(x_new[1:])
+        elif variant is AlgorithmVariant.MATCHING:
+            u_new[1:] = tset.match(x_new[1:], ubar)
+        else:  # DAE_COARSE: u[k+1][j+1] needs u[k+1][j], so it is sequential
+            old_coarse = macro.step(tset.restrict(run.u[k][:-1]))
+            for j in range(n):
+                delta = macro.step(tset.restrict(u_new[j])) - old_coarse[j]
+                u_new[j + 1] = ubar[j] + tset.lift(delta)
+        run.timings.sweep_wall.append(time.perf_counter() - t0)
+    except NonFiniteStateError as exc:
+        raise NonFiniteStateError(
+            f"{exc}; iteration {k}, stage {stage}, dt={config.dt!r}"
+        ) from exc
     run.rows_filled = max(run.rows_filled, k + 2)
 
 
@@ -245,7 +260,12 @@ def _member_reference(prop, u0: np.ndarray, n: int) -> np.ndarray:
     # A pool task pickles the function it runs by name, and a wrapper
     # installed over micro_reference_trajectory (perfbench's tracer installs
     # one) would not pickle; this function looks it up in the worker.
-    return micro_reference_trajectory(prop, u0, n)
+    try:
+        return micro_reference_trajectory(prop, u0, n)
+    except NonFiniteStateError as exc:
+        raise NonFiniteStateError(
+            f"{exc}; in the reference, dt={prop.dt!r}"
+        ) from exc
 
 
 def _run_now(func, *args) -> Future:

@@ -19,17 +19,20 @@ steps act on the last axis and broadcast over the others.
   propagating NaN, and a substep past explicit Euler's stability limit is
   rejected at construction, for every member of a grid before any step. A
   nonlinear system is stepped by one loop on its d components, each held
-  in a local of its own (u0, ..., u{d-1}), so a substep is one
-  micro_rhs((u0, ...), epsilon) call and d updates ui = ui + h * dui. The
+  in a local of its own, so a substep computes the d derivatives and then
+  makes d updates ui = ui + h * dui. For the built-in systems the loop's
+  body is the rhs's own statements, spliced in from its source; any other
+  rhs is called, micro_rhs((u0, ...), epsilon), once per substep. The
   components are Python floats for one state and columns for a row, taken
   with np.moveaxis(u, -1, 0); on a grid epsilon is the (E,) vector of the
   members, broadcast against the (..., E) columns. The loop is generated
-  once per d (_float_loop), as Python cannot name d locals generically.
-  All give the same IEEE-754 double arithmetic, elementwise, as numpy's
-  array recurrence u + h * micro_rhs(u), so a row's endpoints are bitwise
-  those of its states stepped one by one; on floats a substep costs about
-  0.3-0.5 us against 5 us for the array recurrence, and on columns numpy's
-  per-call cost is paid once per term and substep for the whole row. A
+  once per (rhs function, d) (_float_loop), as Python cannot name d locals
+  generically. All give the same IEEE-754 double arithmetic, elementwise,
+  as numpy's array recurrence u + h * micro_rhs(u), so a row's endpoints
+  are bitwise those of its states stepped one by one. On floats a
+  Brusselator substep costs about 0.3 us spliced and 0.5 us called,
+  against 5 us for the array recurrence; on columns numpy's per-call cost
+  is paid once per term and substep for the whole row. A
   linear system keeps the array loop, one interval
   at a time, in two buffers: a copy u of the state and a derivative t.
   Its rhs has the contract rhs(u, out), writing B u into out with no
@@ -53,8 +56,11 @@ step functions are pure, so they can be fanned out across worker processes.
 
 from __future__ import annotations
 
+import ast
+import inspect
 import math
 from functools import cache, partial
+from types import FunctionType
 
 import numpy as np
 
@@ -130,41 +136,140 @@ def _euler_array_substeps(
 
 
 # The nonlinear Euler loop for a state of d components, each held in its own
-# local; for d = 2 it reads
+# local. Its body is a built-in rhs's own statements, spliced in; for the
+# quadratic, partial(_quadratic_micro_rhs, lam), it reads
+#
+#     def loop(lam, h, n_sub, v, epsilon):
+#         x, y, = v
+#         for _ in range(n_sub):
+#             du0 = -lam * x - y
+#             du1 = (x * x - y) / epsilon
+#             x = x + h * du0
+#             y = y + h * du1
+#         return x, y,
+#
+# For any other rhs the body is the call line
 #
 #     def loop(rhs, h, n_sub, v, epsilon):
 #         u0, u1, = v
 #         for _ in range(n_sub):
 #             du0, du1, = rhs((u0, u1,), epsilon)
-#             u0 = u0 + h * du0
-#             u1 = u1 + h * du1
-#         return u0, u1,
+#             ...
 #
-# Python cannot name d locals generically, so _float_loop writes this text
-# for each d it meets, with only the identifiers varying, and compiles it
-# once.
+# Either way every derivative is computed, in the rhs's own order, before
+# any update, so both make the same IEEE-754 operations; splicing saves the
+# call, the tuple build and unpack and the partial's hop. Python cannot name
+# d locals generically, so _float_loop writes this text for each (function,
+# d) it meets and compiles it once.
 _FLOAT_LOOP = """\
-def loop(rhs, h, n_sub, v, epsilon):
+def loop({params}h, n_sub, v, {epsilon}):
     {u}, = v
     for _ in range(n_sub):
-        {du}, = rhs(({u},), epsilon)
+{body}
 {updates}
     return {u},
 """
 
 
-@cache
-def _float_loop(d: int):
-    u = [f"u{i}" for i in range(d)]
-    du = [f"du{i}" for i in range(d)]
-    source = _FLOAT_LOOP.format(
-        u=", ".join(u),
-        du=", ".join(du),
-        updates="\n".join(f"        {a} = {a} + h * {b}" for a, b in zip(u, du)),
+def _assigns_to(stmt, target_type) -> bool:
+    return (
+        isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
+        and isinstance(stmt.targets[0], target_type)
     )
-    namespace = {}
-    exec(compile(source, f"<euler loop, d={d}>", "exec"), namespace)
-    return namespace["loop"]
+
+
+def _rhs_body(func, d: int):
+    """(bound names, epsilon name, state names, body lines) of a function
+    func(*bound, u, epsilon) whose body is an unpack `a, b, ... = u`, simple
+    assignments and `return (e0, ..., e{d-1})`, the return written as
+    du0 = e0, ...; None for any other function or unreadable source."""
+    try:
+        fdef = ast.parse(inspect.getsource(func)).body[0]
+    except (OSError, TypeError, SyntaxError):
+        return None
+    if not isinstance(fdef, ast.FunctionDef) or fdef.decorator_list:
+        return None
+    args = fdef.args
+    if args.posonlyargs or args.vararg or args.kwonlyargs or args.kwarg:
+        return None
+    params = [a.arg for a in args.args]
+    if len(params) < 2 or len(fdef.body) < 2:
+        return None
+    *bound, state, epsilon = params
+    unpack, *assigns, ret = fdef.body
+    if not (
+        _assigns_to(unpack, ast.Tuple)
+        and isinstance(unpack.value, ast.Name) and unpack.value.id == state
+        and all(_assigns_to(a, ast.Name) for a in assigns)
+        and isinstance(ret, ast.Return) and isinstance(ret.value, ast.Tuple)
+    ):
+        return None
+    names = [getattr(t, "id", None) for t in unpack.targets[0].elts]
+    results = ret.value.elts
+    if len(names) != d or None in names or len(results) != d:
+        return None
+    # The parameters and state names carry over substeps, so the body may
+    # not assign them; nor may it use a name the loop binds or reads.
+    du = [f"du{i}" for i in range(d)]
+    own = {"h", "n_sub", "v", "_", "range", *du}
+    carried = {*bound, epsilon, *names}
+    nodes = [n for s in (*assigns, ret) for n in ast.walk(s)]
+    names_used = [n for n in nodes if isinstance(n, ast.Name)]
+    used = {n.id for n in names_used}
+    stored = {n.id for n in names_used if isinstance(n.ctx, ast.Store)}
+    if len(carried) != len(params) - 1 + d or own & (used | carried):
+        return None
+    if stored & carried or any(isinstance(n, ast.Starred) for n in nodes):
+        return None
+    body = [ast.unparse(a) for a in assigns]
+    body += [f"{a} = {ast.unparse(e)}" for a, e in zip(du, results)]
+    return bound, epsilon, names, body
+
+
+@cache
+def _float_loop(d: int, func=None):
+    """The Euler loop on d components: with func, its body spliced in and
+    compiled in func's module globals, or None if the body does not splice;
+    without, the loop that calls its rhs argument."""
+    if func is None:
+        u = [f"u{i}" for i in range(d)]
+        du = ", ".join(f"du{i}" for i in range(d))
+        bound, epsilon = ["rhs"], "epsilon"
+        body = [f"{du}, = rhs(({', '.join(u)},), epsilon)"]
+        namespace = {}
+    else:
+        spliced = _rhs_body(func, d)
+        if spliced is None:
+            return None
+        bound, epsilon, u, body = spliced
+        namespace = func.__globals__
+    source = _FLOAT_LOOP.format(
+        params="".join(f"{p}, " for p in bound),
+        epsilon=epsilon,
+        u=", ".join(u),
+        body="\n".join(f"        {line}" for line in body),
+        updates="\n".join(f"        {a} = {a} + h * du{i}" for i, a in enumerate(u)),
+    )
+    # The def binds loop in a dict of its own, not in func's module.
+    loop = {}
+    exec(compile(source, f"<euler loop, d={d}>", "exec"), namespace, loop)
+    return loop["loop"]
+
+
+def _loop_for(rhs, d: int):
+    """The Euler loop for rhs on d components and the arguments it takes
+    before h. A built-in rhs, a function of the systems module or a partial
+    of one with positional bound arguments, is spliced in and takes the
+    bound arguments; any other callable is called."""
+    func, bound = rhs, ()
+    if type(rhs) is partial and not rhs.keywords:
+        func, bound = rhs.func, rhs.args
+    builtin = NonlinearFastSlowSystem.__module__
+    if isinstance(func, FunctionType) and func.__module__ == builtin:
+        loop = _float_loop(d, func)
+        if loop is not None:
+            return loop, bound
+    return _float_loop(d), (rhs,)
 
 
 def _euler_float_substeps(
@@ -175,8 +280,9 @@ def _euler_float_substeps(
     # epsilon broadcasts against the (..., E) columns of a grid). Overflow
     # gives inf (not an exception), which the endpoint check catches.
     v = u.tolist() if u.ndim == 1 else np.moveaxis(u, -1, 0)
+    loop, args = _loop_for(rhs, u.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        v = _float_loop(u.shape[-1])(rhs, h, n_sub, v, epsilon)
+        v = loop(*args, h, n_sub, v, epsilon)
     return np.array(v) if u.ndim == 1 else np.stack(v, axis=-1)
 
 
@@ -235,12 +341,15 @@ class EulerMicro:
             self._substeps = partial(_euler_array_substeps, state_ndim=1 + grid)
         else:
             self.rhs = members[0].micro_rhs
+            # Compiled here, so that forked pool workers inherit the loop.
+            _loop_for(self.rhs, members[0].dim)
             epsilon = _stacked(lambda m: m.epsilon, system)
             self._substeps = partial(_euler_float_substeps, epsilon=epsilon)
 
     def step(self, u: np.ndarray) -> np.ndarray:
         # self.rhs is read here, not bound at construction, so a wrapper
-        # installed on the instance sees every substep.
+        # installed on the instance takes the call loop and sees every
+        # substep.
         u = self._substeps(self.rhs, self.h, self.n_sub, u)
         # Non-finite values cannot cancel back to finite ones under +/*,
         # so checking the endpoint catches any blown-up substep.

@@ -135,6 +135,13 @@ class NonlinearFastSlowSystem:
     as the built-ins do: math.exp or float() fail on a column, and float **
     raises OverflowError where + - * / overflow to inf, which the
     propagator's endpoint check catches.
+
+    The Euler micro propagator is not bound to call micro_rhs: the
+    built-in rhs of this module, a function or a partial of one with
+    positional bound arguments whose body is an unpack `a, b, ... = u`,
+    simple assignments and `return (e0, ..., e{d-1})`, is spliced into its
+    loop, bitwise as if called. Any other callable, such as a user's
+    function, lambda or closure, is called once per substep.
     """
 
     slow_dim: int
@@ -254,12 +261,14 @@ def _brusselator_micro_rhs(
     u: Sequence[float], epsilon: float
 ) -> tuple[float, float, float]:
     x1, x2, y = u
+    x1x1x2 = x1 * x1 * x2
+    yx1 = y * x1
     # The -y*x1 term in the fast equation is deliberately not divided by
     # epsilon: only the relaxation toward B is stiff.
     return (
-        BRUSSELATOR_A - (y + 1.0) * x1 + x1 * x1 * x2,
-        y * x1 - x1 * x1 * x2,
-        (BRUSSELATOR_B - y) / epsilon - y * x1,
+        BRUSSELATOR_A - (y + 1.0) * x1 + x1x1x2,
+        yx1 - x1x1x2,
+        (BRUSSELATOR_B - y) / epsilon - yx1,
     )
 
 

@@ -454,6 +454,18 @@ class TestNumericalFailure:
         assert "NonFiniteStateError: non-finite state in Euler micro step" in proc.stderr
         assert "RuntimeWarning" not in proc.stderr
 
+    def test_blow_up_names_iteration_stage_and_dt(self, capsys):
+        # At dt = 0.2 the Brusselator's single-step Euler coarse sweep stays
+        # finite in the init sweep and overflows in iteration 0's corrected
+        # sweep.
+        code = main(["sweep-dt", "--system", "brusselator", "--dts", "0.2",
+                     "--workers", "1"])
+        assert code == 2
+        assert (
+            "NonFiniteStateError: non-finite state in Euler macro step; "
+            "iteration 0, stage 2c (corrected sweep), dt=0.2"
+        ) in capsys.readouterr().err
+
     def test_coarse_blow_up_exits_2_without_warning(self, tmp_path):
         # From u0 = (-2, 4) the quadratic's Euler coarse orbit overflows in
         # the init sweep. Run in a fresh interpreter, whose stderr shows any

@@ -374,6 +374,27 @@ GRID_CASES = [
 ]
 
 
+class TestBlowUpContext:
+    @pytest.mark.parametrize(
+        "workers, where",
+        [(1, "in the reference"), (2, "iteration 0, stage 2a (fine)")],
+    )
+    def test_blow_up_names_where_it_happened(self, workers, where):
+        # From u0 = (-2, 4) the quadratic's slow model blows up at t = ln 2.
+        # At 1 worker the reference is stepped first and overflows; with a
+        # pool it runs beside the iterations, and iteration 0's fine stage
+        # overflows before the reference is gathered.
+        config = _euler_config(
+            builtin_quadratic(1.0, 1e-3), [-2.0, 4.0], AlgorithmVariant.LIFTING
+        )
+        with pytest.raises(NonFiniteStateError) as info:
+            run(config, workers=workers)
+        assert str(info.value) == (
+            f"non-finite state in Euler micro step; {where}, dt=0.1"
+        )
+        assert multiprocessing.active_children() == []
+
+
 class TestEpsilonGrid:
     """A grid run is the plain runs at its epsilons, stacked on axis 2."""
 

@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import pickle
 import warnings
 from functools import partial
 
 import numpy as np
 import pytest
 
+from mmparareal import systems
 from mmparareal.linalg import mat_exp
 from mmparareal.propagators import (
     DEFAULT_MACRO_SUBSTEP,
@@ -14,6 +16,8 @@ from mmparareal.propagators import (
     ExactLinearMacro,
     NonFiniteStateError,
     RK4Macro,
+    _float_loop,
+    _loop_for,
     _require_finite,
     make_macro,
     make_micro,
@@ -532,3 +536,169 @@ class TestReferenceTrajectory:
         )
         ratio = traj[-1][0] / math.exp(-10.0)
         assert 0.8 <= ratio <= 1.25
+
+
+# Right-hand sides whose bodies the Euler loop must not splice: a branch, a
+# name the loop binds (h), a state component assigned, no unpack of u.
+def _rhs_with_branch(u, epsilon):
+    x, y = u
+    if epsilon > 1.0:
+        y = 0.0
+    return (-x, -y / epsilon)
+
+
+def _rhs_with_loop_name(u, epsilon):
+    x, y = u
+    h = x * y
+    return (-h, -y / epsilon)
+
+
+def _rhs_assigning_state(u, epsilon):
+    x, y = u
+    x = 2.0 * x
+    return (-x, -y / epsilon)
+
+
+def _rhs_indexing(u, epsilon):
+    return (-u[0], -u[1] / epsilon)
+
+
+def _sourceless_rhs():
+    namespace = {}
+    exec("def rhs(u, epsilon):\n    x, y = u\n    return (-x, -y / epsilon)\n",
+         namespace)
+    return namespace["rhs"]
+
+
+class _CountingRhs:
+    """A wrapper installed over a propagator's rhs, as a tracer does."""
+
+    def __init__(self, rhs):
+        self.rhs, self.calls = rhs, 0
+
+    def __call__(self, u, epsilon):
+        self.calls += 1
+        return self.rhs(u, epsilon)
+
+
+def _lambda_rhs(build):
+    """build with its micro_rhs behind a lambda, a callable of the user's."""
+    def make(epsilon):
+        system = build(epsilon)
+        rhs = system.micro_rhs
+        return dataclasses.replace(system, micro_rhs=lambda u, e: rhs(u, e))
+
+    return make
+
+
+SPLICED = {
+    "quadratic": partial(builtin_quadratic, 1.0),
+    "brusselator": builtin_brusselator,
+}
+STATE_SHAPES = pytest.mark.parametrize(
+    "shape, grid",
+    [((), False), ((5,), False), ((), True), ((5,), True)],
+    ids=["state", "row", "grid", "grid-row"],
+)
+
+
+def _shaped_states(system, shape, grid, seed=13):
+    first = system[0] if grid else system
+    shape = (*shape, len(GRID_EPS)) if grid else shape
+    states = _seeded_states(first, math.prod(shape), seed)
+    return states.reshape(*shape, first.dim)
+
+
+def _system(build, grid):
+    return tuple(build(e) for e in GRID_EPS) if grid else build(1e-3)
+
+
+class TestSplicedLoop:
+    """The built-in rhs are spliced into the Euler loop; any other rhs is
+    called once per substep, with bitwise the same endpoints."""
+
+    @pytest.mark.parametrize("name", list(SPLICED))
+    def test_builtin_rhs_is_spliced(self, name):
+        # The spliced loop gives the called loop's numbers, only faster, so
+        # an edit that stops a built-in from splicing shows only here.
+        system = SPLICED[name](1e-3)
+        loop, _ = _loop_for(EulerMicro(system, 0.1, 1e-4).rhs, system.dim)
+        assert loop is not _float_loop(system.dim)
+        assert "rhs" not in loop.__code__.co_varnames
+
+    def test_splicing_adds_no_name_to_the_rhs_module(self):
+        names = set(vars(systems))
+        loop = _float_loop.__wrapped__(3, systems._brusselator_micro_rhs)
+        assert loop.__globals__ is vars(systems)
+        assert set(vars(systems)) == names
+
+    @STATE_SHAPES
+    @pytest.mark.parametrize("name", list(SPLICED))
+    def test_lambda_rhs_is_called_bitwise(self, name, shape, grid):
+        build = SPLICED[name]
+        system = _system(build, grid)
+        called = EulerMicro(_system(_lambda_rhs(build), grid), 0.1, 1e-4)
+        dim = build(1e-3).dim
+        assert _loop_for(called.rhs, dim)[0] is _float_loop(dim)
+        states = _shaped_states(system, shape, grid)
+        spliced = EulerMicro(system, 0.1, 1e-4)
+        assert np.array_equal(called.step(states), spliced.step(states))
+
+    @STATE_SHAPES
+    @pytest.mark.parametrize("name", list(SPLICED))
+    def test_wrapped_rhs_is_called_every_substep_bitwise(self, name, shape, grid):
+        # A wrapper over prop.rhs, such as a tracer's call counter, sees
+        # every substep: the instance takes the call loop.
+        system = _system(SPLICED[name], grid)
+        states = _shaped_states(system, shape, grid)
+        wrapped = EulerMicro(system, 0.1, 1e-4)
+        wrapped.rhs = _CountingRhs(wrapped.rhs)
+        got = wrapped.step(states)
+        assert wrapped.rhs.calls == wrapped.n_sub
+        assert np.array_equal(got, EulerMicro(system, 0.1, 1e-4).step(states))
+
+    @STATE_SHAPES
+    def test_four_component_is_called_bitwise_its_splice(self, shape, grid):
+        # A user's module-level rhs is called, although its body has the
+        # splicing form; spliced by hand, it gives the same endpoints.
+        system = _system(four_component, grid)
+        prop = EulerMicro(system, 0.1, 1e-4)
+        assert _loop_for(prop.rhs, 4)[0] is _float_loop(4)
+        states = _shaped_states(system, shape, grid)
+        epsilon = np.array(GRID_EPS) if grid else 1e-3
+        v = np.moveaxis(states, -1, 0)
+        v = v.tolist() if states.ndim == 1 else v
+        spliced = _float_loop(4, _four_micro_rhs)(prop.h, prop.n_sub, v, epsilon)
+        assert np.array_equal(prop.step(states), np.stack(spliced, axis=-1))
+
+    @pytest.mark.parametrize(
+        "func",
+        [_rhs_with_branch, _rhs_with_loop_name, _rhs_assigning_state,
+         _rhs_indexing, _sourceless_rhs()],
+        ids=["branch", "loop-name", "assigns-state", "indexing", "no-source"],
+    )
+    def test_other_bodies_do_not_splice(self, func):
+        assert _float_loop(2, func) is None
+
+    def test_splice_needs_the_state_dimension(self):
+        assert _float_loop(2, _four_micro_rhs) is None
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3)], ids=["state", "row"])
+    def test_spliced_blow_up_raises_without_warning(self, shape):
+        # x1 * x1 * x2 overflows to inf within two substeps, and inf - inf
+        # gives NaN: on floats and on columns alike, the error is the only
+        # signal.
+        prop = EulerMicro(builtin_brusselator(1e-3), 0.1, 1e-4)
+        states = np.broadcast_to([1e60, 1e60, 3.0], shape).copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError):
+                prop.step(states)
+
+    @pytest.mark.parametrize("name", list(SPLICED))
+    def test_pickle_round_trip_steps_bitwise(self, name):
+        system = _system(SPLICED[name], True)
+        prop = EulerMicro(system, 0.1, 1e-4)
+        copy = pickle.loads(pickle.dumps(prop))
+        states = _shaped_states(system, (5,), True)
+        assert np.array_equal(copy.step(states), prop.step(states))
