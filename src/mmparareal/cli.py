@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
@@ -268,7 +269,16 @@ def _config(spec: ExperimentSpec, dt: float, epsilon: float, **kw) -> PararealCo
 
 
 def _emit_tables(tables, spec: ExperimentSpec) -> str:
-    lines = [CSV_HEADER]
+    """The CSV text: the header, then one row per (table, k, n).
+
+    Each table's cells are formatted through their bit patterns: `repr` runs
+    once per distinct pattern and the rows are joined from the gathered
+    strings. Bit patterns, not values, keep -0.0 apart from 0.0 and every
+    NaN apart from the others, so each cell reads as its own `repr`. The
+    work stays per table, so only one table's patterns are held at a time.
+    """
+    blocks = [CSV_HEADER]
+    prefixes = {}
     for t in tables:
         lead = (
             f"{t.system},{t.variant},{t.coarse},{t.fine},"
@@ -278,10 +288,16 @@ def _emit_tables(tables, spec: ExperimentSpec) -> str:
         errors = np.stack(
             [t.rel_macro, t.rel_micro, t.abs_macro, t.abs_micro], axis=-1
         )[:, ns]
-        for k, row in enumerate(errors):
-            for n, cells in zip(ns, row.tolist()):
-                lines.append(f"{lead},{k},{n}," + ",".join(map(repr, cells)))
-    return "\n".join(lines) + "\n"
+        # The "k,n" fields, built once for all tables of one (K, N).
+        shape = (len(errors), t.n_intervals)
+        if shape not in prefixes:
+            prefixes[shape] = [f"{k},{n}" for k in range(len(errors)) for n in ns]
+        bits, inverse = np.unique(errors.view(np.uint64).ravel(), return_inverse=True)
+        text = list(map(repr, bits.view(np.float64).tolist()))
+        cells = list(map(text.__getitem__, inverse.tolist()))
+        rows = zip(repeat(lead), prefixes[shape], *(cells[j::4] for j in range(4)))
+        blocks.append("\n".join(map(",".join, rows)))
+    return "\n".join(blocks) + "\n"
 
 
 def _check_out(out: str):
@@ -309,17 +325,20 @@ def _write_output(text: str, out: str):
             raise CliError(f"could not write --out: {exc}") from exc
 
 
-def _print_metadata(spec: ExperimentSpec):
+def _print_metadata(spec: ExperimentSpec, epsilons: list):
+    """Run metadata on stderr, naming the dt (or dts) and epsilons that run."""
+    step = f"dts={spec.dts!r}" if spec.command == "sweep-dt" else f"dt={spec.dt!r}"
     print(
         f"# system={spec.system} algorithm={spec.algorithm} "
         f"coarse={spec.coarse} fine={spec.fine}",
         file=sys.stderr,
     )
     print(
-        f"# u0={spec.u0} T={spec.t_final!r} dt={spec.dt!r} "
+        f"# u0={spec.u0} T={spec.t_final!r} {step} "
         f"substep={spec.substep} kmax={spec.kmax}",
         file=sys.stderr,
     )
+    print(f"# epsilons={epsilons!r}", file=sys.stderr)
     if spec.system == "quadratic":
         print(f"# quadratic_lambda={spec.quadratic_lambda!r}", file=sys.stderr)
 
@@ -340,7 +359,7 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
         groups = [(spec.dt, spec.epsilons)]
     # Every group's config is checked before the metadata and the first run.
     configs = [_config(spec, dt, eps[0], epsilons=eps) for dt, eps in groups]
-    _print_metadata(spec)
+    _print_metadata(spec, groups[0][1])
     pool = engine.worker_pool(spec.workers) if spec.workers > 1 else None
     try:
         tables = []
@@ -366,7 +385,7 @@ def cmd_verify() -> int:
 def cmd_speedup(spec: ExperimentSpec) -> int:
     _check_out(spec.out)
     config = _config(spec, spec.dt, spec.epsilons[0], with_reference=False)
-    _print_metadata(spec)
+    _print_metadata(spec, spec.epsilons[:1])
     n = config.n_intervals
     if spec.kmax == 0:
         lines = [f"N = {n} intervals; no iterations, ideal speed-up undefined"]

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -6,12 +7,13 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmparareal import analysis, engine
+from mmparareal import analysis, cli, engine
 from mmparareal.cli import CSV_HEADER, main
 from mmparareal.engine import AlgorithmVariant, worker_pool
 from mmparareal.propagators import EulerMicro, NonFiniteStateError
@@ -176,8 +178,21 @@ class TestDeterminism:
                  "--T", "1", "--delta-t-fine", "1e-4"),
                 "a6daa05e694451d3456494f2cf6a1d603addbf831090a2e3a72095053105d450",
             ),
+            (
+                ("sweep-epsilon", "--system", "quadratic", "--epsilons",
+                 "1e-3,3e-4", "--T", "1", "--delta-t-fine", "1e-4", "--kmax", "2",
+                 "--all-times"),
+                "f9bb754e85060ee7f01d8c0668601c9f504136f621663917cf2c15eaf7cf6ef0",
+            ),
+            (
+                # Four dt groups, with N = 5, 10, 20 and 40.
+                ("sweep-dt", "--system", "brusselator", "--epsilons", "1e-3",
+                 "--T", "1", "--delta-t-fine", "1e-4", "--all-times"),
+                "46b2e03c2febef253c3c11fff0b7d3e3d2498f2db3b47c8ca597004d61550221",
+            ),
         ],
-        ids=["quadratic-sweep-epsilon", "brusselator-sweep-dt"],
+        ids=["quadratic-sweep-epsilon", "brusselator-sweep-dt",
+             "quadratic-sweep-epsilon-all-times", "brusselator-sweep-dt-all-times"],
     )
     def test_nonlinear_sweep_bytes_pinned(self, tmp_path, argv, digest, workers):
         # Euler fine and coarse on the nonlinear systems: elementwise
@@ -203,6 +218,105 @@ class TestDeterminism:
         assert captured.out.startswith(CSV_HEADER)
         assert "#" not in captured.out
         assert "# system=toy" in captured.err
+
+    def test_metadata_names_the_grid_that_runs(self, capsys):
+        assert main(["sweep-dt", "--dts", "0.2", "--epsilons", "1e-3,1e-2",
+                     "--T", "1", "--kmax", "1", "--workers", "1"]) == 0
+        captured = capsys.readouterr()
+        assert "dts=[0.2]" in captured.err
+        assert "dt=0.1" not in captured.err
+        # sweep-dt runs every dt at the first epsilon only.
+        assert "epsilons=[0.001]\n" in captured.err
+        assert "#" not in captured.out
+
+    def test_metadata_names_the_epsilon_grid(self, capsys):
+        assert main(["sweep-k", "--epsilons", "1e-3,1e-2", "--T", "1",
+                     "--kmax", "1", "--workers", "1"]) == 0
+        err = capsys.readouterr().err
+        assert "dt=0.1 " in err
+        assert "epsilons=[0.001, 0.01]\n" in err
+
+
+def _emit_tables_rowwise(tables, spec):
+    # The row-by-row writer that cli._emit_tables replaced, kept as its oracle.
+    lines = [CSV_HEADER]
+    for t in tables:
+        lead = (
+            f"{t.system},{t.variant},{t.coarse},{t.fine},"
+            f"{t.epsilon!r},{t.dt!r},{t.t_final!r}"
+        )
+        ns = range(t.n_intervals + 1) if spec.all_times else [t.n_intervals]
+        errors = np.stack(
+            [t.rel_macro, t.rel_micro, t.abs_macro, t.abs_micro], axis=-1
+        )[:, ns]
+        for k, row in enumerate(errors):
+            for n, cells in zip(ns, row.tolist()):
+                lines.append(f"{lead},{k},{n}," + ",".join(map(repr, cells)))
+    return "\n".join(lines) + "\n"
+
+
+def _crafted_table(epsilon, lattices):
+    k1, n1 = lattices[0].shape
+    return analysis.ErrorTable(
+        system="toy", variant=2, coarse="exact", fine="exact", epsilon=epsilon,
+        dt=0.5, t_final=0.5 * (n1 - 1), n_intervals=n1 - 1, n_iterations=k1 - 1,
+        rel_macro=lattices[0], rel_micro=lattices[1],
+        abs_macro=lattices[2], abs_micro=lattices[3],
+        macro_denominator=1.0, micro_denominator=1.0,
+    )
+
+
+class TestEmitTables:
+    def _captured(self, monkeypatch, argv):
+        seen = []
+
+        def record(tables, spec):
+            seen.append((tables, spec))
+            return ""
+
+        monkeypatch.setattr(cli, "_emit_tables", record)
+        assert main([*argv, "--workers", "1"]) == 0
+        monkeypatch.undo()
+        (tables, spec), = seen
+        return tables, spec
+
+    @pytest.mark.parametrize("all_times", [False, True])
+    def test_sweep_k_tables_match_rowwise_writer(self, monkeypatch, all_times):
+        tables, spec = self._captured(monkeypatch, [
+            "sweep-k", "--epsilons", "1e-4,1e-3,1e-2", "--T", "2", "--kmax", "4",
+        ])
+        spec = dataclasses.replace(spec, all_times=all_times)
+        expected = _emit_tables_rowwise(tables, spec)
+        assert cli._emit_tables(tables, spec) == expected
+        assert expected.count("\n") == 1 + 3 * 5 * (21 if all_times else 1)
+
+    def test_sweep_dt_tables_of_mixed_n_match_rowwise_writer(self, monkeypatch):
+        tables, spec = self._captured(monkeypatch, [
+            "sweep-dt", "--dts", "0.5,0.25,0.2", "--epsilons", "1e-3",
+            "--T", "1", "--kmax", "2", "--all-times",
+        ])
+        assert [t.n_intervals for t in tables] == [2, 4, 5]
+        for all_times in (False, True):
+            spec = dataclasses.replace(spec, all_times=all_times)
+            assert cli._emit_tables(tables, spec) == _emit_tables_rowwise(tables, spec)
+
+    def test_special_values_keep_their_own_repr(self):
+        nan_payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
+        special = [0.0, -0.0, np.nan, -np.nan, nan_payload, np.inf, -np.inf,
+                   5e-324, -5e-324, 0.1, 1e300, 2.0 ** -1074 * 3]
+        values = np.array(special * 4).reshape(4, 3, 4)
+        first = _crafted_table(1e-3, [values[:, :, j].copy() for j in range(4)])
+        # The same values again, moved across columns, rows and tables.
+        second = _crafted_table(1e-2, [np.roll(values[:, :, j], j) for j in range(4)])
+        third = _crafted_table(1e-1, [np.zeros((2, 3)), np.full((2, 3), -0.0),
+                                      np.full((2, 3), np.nan), values[:2, :, 0]])
+        tables = [first, second, third]
+        for all_times in (False, True):
+            spec = types.SimpleNamespace(all_times=all_times)
+            text = cli._emit_tables(tables, spec)
+            assert text == _emit_tables_rowwise(tables, spec)
+        assert ",-0.0," in text and ",0.0," in text and ",nan," in text
+        assert ",5e-324" in text and ",-inf" in text
 
 
 class TestValidationErrors:
@@ -579,8 +693,12 @@ class TestSpeedup:
         code = main(["speedup", "--kmax", "0", "--fine", "exact",
                      "--workers", "1"])
         assert code == 0
-        out = capsys.readouterr().out
-        assert "N = 100 intervals; no iterations, ideal speed-up undefined" in out
+        captured = capsys.readouterr()
+        assert "N = 100 intervals; no iterations, ideal speed-up undefined" in (
+            captured.out
+        )
+        assert "dt=0.1 " in captured.err
+        assert "epsilons=[0.01]\n" in captured.err
 
     def test_report_goes_to_out(self, tmp_path, capsys):
         out = tmp_path / "sp.txt"
