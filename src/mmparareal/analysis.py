@@ -204,7 +204,6 @@ def epsilon_order(
     fine: str = "exact",
     substep: Optional[float] = None,
     system_builder: Callable[[float], object] = builtin_toy,
-    system_id: str = "toy",
     u0=None,
     floor: float = DEFAULT_FLOOR,
 ) -> SlopeFit:
@@ -224,7 +223,7 @@ def epsilon_order(
     )
     for member in config.members:
         _check_layer_separation(member, dt)
-    errors = [t.final_relative(k, which) for t in grid_tables(config, system_id)]
+    errors = [t.final_relative(k, which) for t in grid_tables(config)]
     return fit_slope(eps_values, errors, floor=floor)
 
 
@@ -239,7 +238,6 @@ def dt_order(
     which: str = "macro",
     substep: Optional[float] = None,
     system_builder: Callable[[float], object] = builtin_toy,
-    system_id: str = "toy",
     u0=None,
     floor: float = DEFAULT_FLOOR,
 ) -> SlopeFit:
@@ -252,7 +250,7 @@ def dt_order(
     for dt in dt_values:
         _check_layer_separation(system, dt)
         table = experiment_table(
-            system, system_id, variant, coarse, fine, dt=dt, t_final=t_final,
+            system, "", variant, coarse, fine, dt=dt, t_final=t_final,
             kmax=k, u0=TOY_U0 if u0 is None else u0, substep=substep,
         )
         errors.append(table.final_relative(k, which))

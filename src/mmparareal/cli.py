@@ -192,6 +192,8 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
     kmax = _int_value(
         "kmax", pick("kmax", _default_kmax(args.command, algorithm, coarse))
     )
+    if kmax < 0:
+        raise CliError("kmax must be >= 0")
 
     substep = pick("delta_t_fine", None)
     if substep is None and fine == "euler":

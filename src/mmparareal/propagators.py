@@ -20,25 +20,24 @@ steps act on the last axis and broadcast over the others.
   rejected at construction, for every member of a grid before any step. A
   nonlinear system is stepped by one loop on its d components, each held
   in a local of its own, so a substep computes the d derivatives and then
-  makes d updates ui = ui + h * dui. For the built-in systems the loop's
-  body is the rhs's own statements, spliced in from its source; any other
-  rhs is called, micro_rhs((u0, ...), epsilon), once per substep. The
+  makes d updates ui = ui + h * dui. The built-in systems have this loop
+  written by hand (systems.EULER_LOOPS); any other rhs is called,
+  micro_rhs((u0, ...), epsilon), once per substep, by a loop generated
+  once per d (_call_loop), as Python cannot name d locals generically. The
   components are Python floats for one state and columns for a row, taken
   with np.moveaxis(u, -1, 0); on a grid epsilon is the (E,) vector of the
-  members, broadcast against the (..., E) columns. The loop is generated
-  once per (rhs function, d) (_float_loop), as Python cannot name d locals
-  generically. All give the same IEEE-754 double arithmetic, elementwise,
-  as numpy's array recurrence u + h * micro_rhs(u), so a row's endpoints
-  are bitwise those of its states stepped one by one. On floats a
-  Brusselator substep costs about 0.3 us spliced and 0.5 us called,
-  against 5 us for the array recurrence; on columns numpy's per-call cost
-  is paid once per term and substep for the whole row. A
-  linear system keeps the array loop, one interval
-  at a time, in two buffers: a copy u of the state and a derivative t.
-  Its rhs has the contract rhs(u, out), writing B u into out with no
-  temporary: B.dot(u, out) (a BLAS matrix-vector product), on a grid one
-  np.matmul by the members' stacked (E, d, d) B. A substep is then
-  rhs(u, t); t *= h; u += t, numpy's u + h * (B @ u) bit for bit;
+  members, broadcast against the (..., E) columns. All give the same
+  IEEE-754 double arithmetic, elementwise, as numpy's array recurrence
+  u + h * micro_rhs(u), so a row's endpoints are bitwise those of its
+  states stepped one by one. On floats a Brusselator substep costs about
+  0.3 us by hand and 0.5 us called, against 5 us for the array recurrence;
+  on columns numpy's per-call cost is paid once per term and substep for
+  the whole row. A linear system keeps the array loop, one interval at a
+  time, in two buffers: a copy u of the state and a derivative t. Its rhs
+  has the contract rhs(u, out), writing B u into out with no temporary:
+  B.dot(u, out) (a BLAS matrix-vector product), on a grid one np.matmul
+  by the members' stacked (E, d, d) B. A substep is then rhs(u, t);
+  t *= h; u += t, numpy's u + h * (B @ u) bit for bit;
 * exact-linear macro: X -> exp(lam dt) X, with exp(lam dt) > 0 cached;
 * forward-euler macro: a single explicit Euler step of the slow model;
 * rk4 macro: classical Runge-Kutta 4 substeps of the slow model, at most
@@ -56,16 +55,14 @@ step functions are pure, so they can be fanned out across worker processes.
 
 from __future__ import annotations
 
-import ast
-import inspect
 import math
+from collections.abc import Hashable
 from functools import cache, partial
-from types import FunctionType
 
 import numpy as np
 
 from . import linalg
-from .systems import LinearFastSlowSystem, NonlinearFastSlowSystem
+from .systems import EULER_LOOPS, LinearFastSlowSystem, NonlinearFastSlowSystem
 
 # Default Euler substep for the nonlinear benchmarks.
 DEFAULT_SUBSTEP = 1e-5
@@ -135,141 +132,54 @@ def _euler_array_substeps(
     return u
 
 
-# The nonlinear Euler loop for a state of d components, each held in its own
-# local. Its body is a built-in rhs's own statements, spliced in; for the
-# quadratic, partial(_quadratic_micro_rhs, lam), it reads
-#
-#     def loop(lam, h, n_sub, v, epsilon):
-#         x, y, = v
-#         for _ in range(n_sub):
-#             du0 = -lam * x - y
-#             du1 = (x * x - y) / epsilon
-#             x = x + h * du0
-#             y = y + h * du1
-#         return x, y,
-#
-# For any other rhs the body is the call line
+# The Euler loop that calls its rhs, for a state of d components each held
+# in its own local; for d = 2 it reads
 #
 #     def loop(rhs, h, n_sub, v, epsilon):
 #         u0, u1, = v
 #         for _ in range(n_sub):
 #             du0, du1, = rhs((u0, u1,), epsilon)
-#             ...
+#             u0 = u0 + h * du0
+#             u1 = u1 + h * du1
+#         return u0, u1,
 #
-# Either way every derivative is computed, in the rhs's own order, before
-# any update, so both make the same IEEE-754 operations; splicing saves the
-# call, the tuple build and unpack and the partial's hop. Python cannot name
-# d locals generically, so _float_loop writes this text for each (function,
-# d) it meets and compiles it once.
-_FLOAT_LOOP = """\
-def loop({params}h, n_sub, v, {epsilon}):
+# Python cannot name d locals generically, so _call_loop writes this text
+# for each d it meets and compiles it once.
+_CALL_LOOP = """\
+def loop(rhs, h, n_sub, v, epsilon):
     {u}, = v
     for _ in range(n_sub):
-{body}
+        {du}, = rhs(({u},), epsilon)
 {updates}
     return {u},
 """
 
 
-def _assigns_to(stmt, target_type) -> bool:
-    return (
-        isinstance(stmt, ast.Assign) and len(stmt.targets) == 1
-        and isinstance(stmt.targets[0], target_type)
-    )
-
-
-def _rhs_body(func, d: int):
-    """(bound names, epsilon name, state names, body lines) of a function
-    func(*bound, u, epsilon) whose body is an unpack `a, b, ... = u`, simple
-    assignments and `return (e0, ..., e{d-1})`, the return written as
-    du0 = e0, ...; None for any other function or unreadable source."""
-    try:
-        fdef = ast.parse(inspect.getsource(func)).body[0]
-    except (OSError, TypeError, SyntaxError):
-        return None
-    if not isinstance(fdef, ast.FunctionDef) or fdef.decorator_list:
-        return None
-    args = fdef.args
-    if args.posonlyargs or args.vararg or args.kwonlyargs or args.kwarg:
-        return None
-    params = [a.arg for a in args.args]
-    if len(params) < 2 or len(fdef.body) < 2:
-        return None
-    *bound, state, epsilon = params
-    unpack, *assigns, ret = fdef.body
-    if not (
-        _assigns_to(unpack, ast.Tuple)
-        and isinstance(unpack.value, ast.Name) and unpack.value.id == state
-        and all(_assigns_to(a, ast.Name) for a in assigns)
-        and isinstance(ret, ast.Return) and isinstance(ret.value, ast.Tuple)
-    ):
-        return None
-    names = [getattr(t, "id", None) for t in unpack.targets[0].elts]
-    results = ret.value.elts
-    if len(names) != d or None in names or len(results) != d:
-        return None
-    # The parameters and state names carry over substeps, so the body may
-    # not assign them; nor may it use a name the loop binds or reads.
-    du = [f"du{i}" for i in range(d)]
-    own = {"h", "n_sub", "v", "_", "range", *du}
-    carried = {*bound, epsilon, *names}
-    nodes = [n for s in (*assigns, ret) for n in ast.walk(s)]
-    names_used = [n for n in nodes if isinstance(n, ast.Name)]
-    used = {n.id for n in names_used}
-    stored = {n.id for n in names_used if isinstance(n.ctx, ast.Store)}
-    if len(carried) != len(params) - 1 + d or own & (used | carried):
-        return None
-    if stored & carried or any(isinstance(n, ast.Starred) for n in nodes):
-        return None
-    body = [ast.unparse(a) for a in assigns]
-    body += [f"{a} = {ast.unparse(e)}" for a, e in zip(du, results)]
-    return bound, epsilon, names, body
-
-
 @cache
-def _float_loop(d: int, func=None):
-    """The Euler loop on d components: with func, its body spliced in and
-    compiled in func's module globals, or None if the body does not splice;
-    without, the loop that calls its rhs argument."""
-    if func is None:
-        u = [f"u{i}" for i in range(d)]
-        du = ", ".join(f"du{i}" for i in range(d))
-        bound, epsilon = ["rhs"], "epsilon"
-        body = [f"{du}, = rhs(({', '.join(u)},), epsilon)"]
-        namespace = {}
-    else:
-        spliced = _rhs_body(func, d)
-        if spliced is None:
-            return None
-        bound, epsilon, u, body = spliced
-        namespace = func.__globals__
-    source = _FLOAT_LOOP.format(
-        params="".join(f"{p}, " for p in bound),
-        epsilon=epsilon,
+def _call_loop(d: int):
+    u = [f"u{i}" for i in range(d)]
+    source = _CALL_LOOP.format(
         u=", ".join(u),
-        body="\n".join(f"        {line}" for line in body),
+        du=", ".join(f"du{i}" for i in range(d)),
         updates="\n".join(f"        {a} = {a} + h * du{i}" for i, a in enumerate(u)),
     )
-    # The def binds loop in a dict of its own, not in func's module.
-    loop = {}
-    exec(compile(source, f"<euler loop, d={d}>", "exec"), namespace, loop)
-    return loop["loop"]
+    namespace = {}
+    exec(compile(source, f"<euler loop, d={d}>", "exec"), namespace)
+    return namespace["loop"]
 
 
 def _loop_for(rhs, d: int):
     """The Euler loop for rhs on d components and the arguments it takes
-    before h. A built-in rhs, a function of the systems module or a partial
-    of one with positional bound arguments, is spliced in and takes the
-    bound arguments; any other callable is called."""
+    before h. A built-in rhs, or a partial of one with positional bound
+    arguments, takes its loop of EULER_LOOPS and the bound arguments; any
+    other callable is called."""
     func, bound = rhs, ()
     if type(rhs) is partial and not rhs.keywords:
         func, bound = rhs.func, rhs.args
-    builtin = NonlinearFastSlowSystem.__module__
-    if isinstance(func, FunctionType) and func.__module__ == builtin:
-        loop = _float_loop(d, func)
-        if loop is not None:
-            return loop, bound
-    return _float_loop(d), (rhs,)
+    # A user's callable class may define __eq__ and so have no hash.
+    if isinstance(func, Hashable) and func in EULER_LOOPS:
+        return EULER_LOOPS[func], bound
+    return _call_loop(d), (rhs,)
 
 
 def _euler_float_substeps(

@@ -136,11 +136,9 @@ class NonlinearFastSlowSystem:
     raises OverflowError where + - * / overflow to inf, which the
     propagator's endpoint check catches.
 
-    The Euler micro propagator is not bound to call micro_rhs: the
-    built-in rhs of this module, a function or a partial of one with
-    positional bound arguments whose body is an unpack `a, b, ... = u`,
-    simple assignments and `return (e0, ..., e{d-1})`, is spliced into its
-    loop, bitwise as if called. Any other callable, such as a user's
+    The Euler micro propagator is not bound to call micro_rhs: a built-in
+    rhs, or a partial of one, is stepped by its hand-written loop in
+    EULER_LOOPS, bitwise as if called. Any other callable, such as a user's
     function, lambda or closure, is called once per substep.
     """
 
@@ -228,6 +226,16 @@ def _quadratic_micro_rhs(
     return (-lam * x - y, (x * x - y) / epsilon)
 
 
+def _quadratic_euler_loop(lam, h, n_sub, v, epsilon):
+    x, y = v
+    for _ in range(n_sub):
+        du0 = -lam * x - y
+        du1 = (x * x - y) / epsilon
+        x = x + h * du0
+        y = y + h * du1
+    return x, y
+
+
 def _quadratic_macro_rhs(lam: float, x: np.ndarray) -> np.ndarray:
     x0 = x[..., :1]
     return -lam * x0 - x0 * x0
@@ -272,6 +280,20 @@ def _brusselator_micro_rhs(
     )
 
 
+def _brusselator_euler_loop(h, n_sub, v, epsilon):
+    x1, x2, y = v
+    for _ in range(n_sub):
+        x1x1x2 = x1 * x1 * x2
+        yx1 = y * x1
+        du0 = BRUSSELATOR_A - (y + 1.0) * x1 + x1x1x2
+        du1 = yx1 - x1x1x2
+        du2 = (BRUSSELATOR_B - y) / epsilon - yx1
+        x1 = x1 + h * du0
+        x2 = x2 + h * du1
+        y = y + h * du2
+    return x1, x2, y
+
+
 def _brusselator_macro_rhs(x: np.ndarray) -> np.ndarray:
     x1, x2 = x[..., 0], x[..., 1]
     return np.stack(
@@ -298,3 +320,14 @@ def builtin_brusselator(epsilon: float) -> NonlinearFastSlowSystem:
         lift_map=_brusselator_lift,
         epsilon=epsilon,
     )
+
+
+# The Euler loop of each built-in micro rhs: loop(*bound, h, n_sub, v,
+# epsilon) makes n_sub substeps from the components v, where bound are the
+# arguments a partial of the rhs binds. Each computes every derivative, as
+# the rhs does, before any update ui = ui + h * dui, so its endpoints are
+# bitwise those of the loop that calls the rhs, without the call.
+EULER_LOOPS = {
+    _quadratic_micro_rhs: _quadratic_euler_loop,
+    _brusselator_micro_rhs: _brusselator_euler_loop,
+}

@@ -188,12 +188,12 @@ class TestEpsilonOrder:
             dict(variant=AlgorithmVariant.MATCHING, coarse="exact",
                  fine="exact", k=2, which="micro", eps_values=GRID,
                  t_final=10.0, substep=None, system_builder=builtin_toy,
-                 system_id="toy", u0=TOY_U0),
+                 u0=TOY_U0),
             dict(variant=AlgorithmVariant.MATCHING, coarse="rk4",
                  fine="euler", k=2, which="macro", eps_values=[1e-3, 3e-3, 1e-2],
                  t_final=1.0, substep=1e-4,
                  system_builder=partial(builtin_quadratic, 1.0),
-                 system_id="quadratic", u0=[1.0, 0.0]),
+                 u0=[1.0, 0.0]),
         ],
         ids=["toy-exact", "quadratic-euler-rk4"],
     )
@@ -202,7 +202,7 @@ class TestEpsilonOrder:
         assert len(engine_runs) == 1
         want = [
             experiment_table(
-                args["system_builder"](eps), args["system_id"], args["variant"],
+                args["system_builder"](eps), "", args["variant"],
                 args["coarse"], args["fine"], dt=0.1, t_final=args["t_final"],
                 kmax=args["k"], u0=args["u0"], substep=args["substep"],
             ).final_relative(args["k"], args["which"])

@@ -419,7 +419,7 @@ class TestValidationErrors:
             (["--system", "quadratic", "--algorithm", "3"], None, "linear"),
             (["--system", "brusselator", "--fine", "exact"], None, "linear"),
             ([], {"coarse": "rk7"}, "kind"),
-            (["--kmax", "-1"], None, "n_iterations must be >= 0"),
+            (["--kmax", "-1"], None, "kmax must be >= 0"),
         ],
         ids=["inexact-substep", "dae-nonlinear", "exact-fine-nonlinear",
              "unknown-coarse", "negative-kmax"],

@@ -16,7 +16,7 @@ from mmparareal.propagators import (
     ExactLinearMacro,
     NonFiniteStateError,
     RK4Macro,
-    _float_loop,
+    _call_loop,
     _loop_for,
     _require_finite,
     make_macro,
@@ -538,8 +538,9 @@ class TestReferenceTrajectory:
         assert 0.8 <= ratio <= 1.25
 
 
-# Right-hand sides whose bodies the Euler loop must not splice: a branch, a
-# name the loop binds (h), a state component assigned, no unpack of u.
+# Right-hand sides of the user's, each with a body unlike the built-ins':
+# a branch, a local named h, a state component assigned, no unpack of u,
+# no source. Each takes the call loop.
 def _rhs_with_branch(u, epsilon):
     x, y = u
     if epsilon > 1.0:
@@ -591,10 +592,32 @@ def _lambda_rhs(build):
     return make
 
 
-SPLICED = {
-    "quadratic": partial(builtin_quadratic, 1.0),
-    "brusselator": builtin_brusselator,
+class _UnhashableRhs(_CountingRhs):
+    """A user's callable that defines __eq__ and so has no hash."""
+
+    def __eq__(self, other):
+        return self is other
+
+
+class _CountingPartial(partial):
+    """A partial subclass of the user's that counts its calls."""
+
+    calls = 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return super().__call__(*args)
+
+
+# A system of each rhs in systems.EULER_LOOPS, so that the tests below run
+# on every registered loop; a loop registered without one fails them.
+BUILDERS = {
+    systems._quadratic_micro_rhs: partial(builtin_quadratic, 1.0),
+    systems._brusselator_micro_rhs: builtin_brusselator,
 }
+REGISTERED = pytest.mark.parametrize(
+    "func", list(systems.EULER_LOOPS), ids=lambda f: f.__name__.split("_")[1]
+)
 STATE_SHAPES = pytest.mark.parametrize(
     "shape, grid",
     [((), False), ((5,), False), ((), True), ((5,), True)],
@@ -613,43 +636,38 @@ def _system(build, grid):
     return tuple(build(e) for e in GRID_EPS) if grid else build(1e-3)
 
 
-class TestSplicedLoop:
-    """The built-in rhs are spliced into the Euler loop; any other rhs is
-    called once per substep, with bitwise the same endpoints."""
+class TestRegisteredLoops:
+    """The built-in rhs are stepped by their loops of systems.EULER_LOOPS;
+    any other rhs is called once per substep, with bitwise the same
+    endpoints."""
 
-    @pytest.mark.parametrize("name", list(SPLICED))
-    def test_builtin_rhs_is_spliced(self, name):
-        # The spliced loop gives the called loop's numbers, only faster, so
-        # an edit that stops a built-in from splicing shows only here.
-        system = SPLICED[name](1e-3)
-        loop, _ = _loop_for(EulerMicro(system, 0.1, 1e-4).rhs, system.dim)
-        assert loop is not _float_loop(system.dim)
-        assert "rhs" not in loop.__code__.co_varnames
-
-    def test_splicing_adds_no_name_to_the_rhs_module(self):
-        names = set(vars(systems))
-        loop = _float_loop.__wrapped__(3, systems._brusselator_micro_rhs)
-        assert loop.__globals__ is vars(systems)
-        assert set(vars(systems)) == names
+    @REGISTERED
+    def test_builtin_takes_its_registered_loop(self, func):
+        # The registered loop gives the called loop's numbers, only faster,
+        # so a built-in that stops resolving to it shows only here.
+        system = BUILDERS[func](1e-3)
+        rhs = EulerMicro(system, 0.1, 1e-4).rhs
+        bound = rhs.args if isinstance(rhs, partial) else ()
+        assert _loop_for(rhs, system.dim) == (systems.EULER_LOOPS[func], bound)
 
     @STATE_SHAPES
-    @pytest.mark.parametrize("name", list(SPLICED))
-    def test_lambda_rhs_is_called_bitwise(self, name, shape, grid):
-        build = SPLICED[name]
+    @REGISTERED
+    def test_lambda_rhs_is_called_bitwise(self, func, shape, grid):
+        build = BUILDERS[func]
         system = _system(build, grid)
         called = EulerMicro(_system(_lambda_rhs(build), grid), 0.1, 1e-4)
         dim = build(1e-3).dim
-        assert _loop_for(called.rhs, dim)[0] is _float_loop(dim)
+        assert _loop_for(called.rhs, dim)[0] is _call_loop(dim)
         states = _shaped_states(system, shape, grid)
-        spliced = EulerMicro(system, 0.1, 1e-4)
-        assert np.array_equal(called.step(states), spliced.step(states))
+        registered = EulerMicro(system, 0.1, 1e-4)
+        assert np.array_equal(called.step(states), registered.step(states))
 
     @STATE_SHAPES
-    @pytest.mark.parametrize("name", list(SPLICED))
-    def test_wrapped_rhs_is_called_every_substep_bitwise(self, name, shape, grid):
+    @REGISTERED
+    def test_wrapped_rhs_is_called_every_substep_bitwise(self, func, shape, grid):
         # A wrapper over prop.rhs, such as a tracer's call counter, sees
         # every substep: the instance takes the call loop.
-        system = _system(SPLICED[name], grid)
+        system = _system(BUILDERS[func], grid)
         states = _shaped_states(system, shape, grid)
         wrapped = EulerMicro(system, 0.1, 1e-4)
         wrapped.rhs = _CountingRhs(wrapped.rhs)
@@ -658,33 +676,74 @@ class TestSplicedLoop:
         assert np.array_equal(got, EulerMicro(system, 0.1, 1e-4).step(states))
 
     @STATE_SHAPES
-    def test_four_component_is_called_bitwise_its_splice(self, shape, grid):
-        # A user's module-level rhs is called, although its body has the
-        # splicing form; spliced by hand, it gives the same endpoints.
+    def test_four_component_is_called_bitwise(self, shape, grid):
+        # A user's module-level rhs is called, and each state of a row or
+        # grid slot ends bitwise as its own array recurrence.
         system = _system(four_component, grid)
         prop = EulerMicro(system, 0.1, 1e-4)
-        assert _loop_for(prop.rhs, 4)[0] is _float_loop(4)
+        assert _loop_for(prop.rhs, 4)[0] is _call_loop(4)
         states = _shaped_states(system, shape, grid)
-        epsilon = np.array(GRID_EPS) if grid else 1e-3
-        v = np.moveaxis(states, -1, 0)
-        v = v.tolist() if states.ndim == 1 else v
-        spliced = _float_loop(4, _four_micro_rhs)(prop.h, prop.n_sub, v, epsilon)
-        assert np.array_equal(prop.step(states), np.stack(spliced, axis=-1))
+        got = prop.step(states)
+        for index in np.ndindex(states.shape[:-1]):
+            member = system[index[-1]] if grid else system
+            want = _euler_recurrence(member, prop.h, prop.n_sub, states[index])
+            assert np.array_equal(got[index], want)
 
+    @pytest.mark.parametrize("shape", [(), (5,)], ids=["state", "row"])
     @pytest.mark.parametrize(
         "func",
         [_rhs_with_branch, _rhs_with_loop_name, _rhs_assigning_state,
          _rhs_indexing, _sourceless_rhs()],
         ids=["branch", "loop-name", "assigns-state", "indexing", "no-source"],
     )
-    def test_other_bodies_do_not_splice(self, func):
-        assert _float_loop(2, func) is None
+    def test_other_bodies_are_called_bitwise(self, func, shape):
+        system = dataclasses.replace(builtin_quadratic(1.0, 1e-3), micro_rhs=func)
+        prop = EulerMicro(system, 0.1, 1e-4)
+        assert _loop_for(prop.rhs, 2) == (_call_loop(2), (func,))
+        states = _shaped_states(system, shape, False)
+        got = prop.step(states)
+        for index in np.ndindex(shape):
+            want = _euler_recurrence(system, prop.h, prop.n_sub, states[index])
+            assert np.array_equal(got[index], want)
 
-    def test_splice_needs_the_state_dimension(self):
-        assert _float_loop(2, _four_micro_rhs) is None
+    def test_copy_of_a_registered_rhs_is_called_bitwise(self):
+        # EULER_LOOPS is keyed by the function object: a copy with the same
+        # code and globals is a user's function, and is called.
+        rhs = systems._brusselator_micro_rhs
+        copy = type(rhs)(rhs.__code__, rhs.__globals__)
+        system = builtin_brusselator(1e-3)
+        called = EulerMicro(dataclasses.replace(system, micro_rhs=copy), 0.1, 1e-4)
+        assert _loop_for(called.rhs, 3)[0] is _call_loop(3)
+        states = _shaped_states(system, (5,), False)
+        registered = EulerMicro(system, 0.1, 1e-4)
+        assert np.array_equal(called.step(states), registered.step(states))
+
+    def test_partial_subclass_is_called_every_substep_bitwise(self):
+        # Only a plain partial is looked through: a subclass may change the
+        # call, so it is called, as any callable of the user's.
+        system = builtin_quadratic(1.0, 1e-3)
+        rhs = _CountingPartial(systems._quadratic_micro_rhs, 1.0)
+        called = EulerMicro(dataclasses.replace(system, micro_rhs=rhs), 0.1, 1e-4)
+        assert _loop_for(called.rhs, 2) == (_call_loop(2), (rhs,))
+        state = _shaped_states(system, (), False)
+        before = rhs.calls
+        got = called.step(state)
+        assert rhs.calls - before == called.n_sub
+        assert np.array_equal(got, EulerMicro(system, 0.1, 1e-4).step(state))
+
+    def test_unhashable_rhs_is_called_bitwise(self):
+        system = builtin_brusselator(1e-3)
+        called = EulerMicro(
+            dataclasses.replace(system, micro_rhs=_UnhashableRhs(system.micro_rhs)),
+            0.1, 1e-4,
+        )
+        assert _loop_for(called.rhs, 3)[0] is _call_loop(3)
+        states = _shaped_states(system, (5,), False)
+        registered = EulerMicro(system, 0.1, 1e-4)
+        assert np.array_equal(called.step(states), registered.step(states))
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3)], ids=["state", "row"])
-    def test_spliced_blow_up_raises_without_warning(self, shape):
+    def test_registered_blow_up_raises_without_warning(self, shape):
         # x1 * x1 * x2 overflows to inf within two substeps, and inf - inf
         # gives NaN: on floats and on columns alike, the error is the only
         # signal.
@@ -695,9 +754,9 @@ class TestSplicedLoop:
             with pytest.raises(NonFiniteStateError):
                 prop.step(states)
 
-    @pytest.mark.parametrize("name", list(SPLICED))
-    def test_pickle_round_trip_steps_bitwise(self, name):
-        system = _system(SPLICED[name], True)
+    @REGISTERED
+    def test_pickle_round_trip_steps_bitwise(self, func):
+        system = _system(BUILDERS[func], True)
         prop = EulerMicro(system, 0.1, 1e-4)
         copy = pickle.loads(pickle.dumps(prop))
         states = _shaped_states(system, (5,), True)
