@@ -20,7 +20,7 @@ import numpy as np
 
 from . import engine, linalg
 from .engine import AlgorithmVariant, PararealConfig, PararealRun
-from .propagators import ExactLinearMicro, _matvec, micro_reference_trajectory
+from .propagators import _matvec, make_micro, micro_reference_trajectory
 from .systems import LinearFastSlowSystem, builtin_toy
 
 # Relative errors below this are treated as machine-precision noise.
@@ -114,7 +114,6 @@ class SlopeFit:
     slope: float
     intercept: float
     n_points: int
-    floor: float
 
 
 def fit_slope(xs, ys, floor: float = DEFAULT_FLOOR) -> SlopeFit:
@@ -138,7 +137,6 @@ def fit_slope(xs, ys, floor: float = DEFAULT_FLOOR) -> SlopeFit:
         slope=float(slope),
         intercept=float(intercept),
         n_points=int(xs_used.size),
-        floor=floor,
     )
 
 
@@ -268,9 +266,8 @@ LEMMA_FLAG_FACTOR = 10.0
 
 @dataclass(eq=False)
 class LemmaDiagnostics:
-    eps_values: np.ndarray
-    ratios: dict            # family -> array over eps_values
-    variation: dict         # family -> max/min over eps_values
+    ratios: dict            # family -> array over the epsilon grid
+    variation: dict         # family -> max/min over the epsilon grid
     ok: bool
 
 
@@ -300,7 +297,7 @@ def lemma_diagnostics(
     h = LEMMA_T_FINAL / LEMMA_N_GRID
     times = h * np.arange(LEMMA_N_GRID + 1)
     traj = micro_reference_trajectory(
-        ExactLinearMicro(members, h), np.tile(u0, (len(members), 1)), LEMMA_N_GRID
+        make_micro(members, h), np.tile(u0, (len(members), 1)), LEMMA_N_GRID
     )
     x = traj[..., 0]                                        # (n_grid+1, E)
     z = traj[..., 1:] - x[..., None] * np.stack([m.a_inv_q for m in members])
@@ -337,9 +334,7 @@ def lemma_diagnostics(
         for name, r in ratios.items()
     }
     ok = all(v <= LEMMA_FLAG_FACTOR for v in variation.values())
-    return LemmaDiagnostics(
-        eps_values=eps_values, ratios=ratios, variation=variation, ok=ok
-    )
+    return LemmaDiagnostics(ratios=ratios, variation=variation, ok=ok)
 
 
 def sharpness_witness(epsilon: float) -> LinearFastSlowSystem:

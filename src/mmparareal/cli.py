@@ -6,9 +6,10 @@ verify (invariant checks), speedup (fine-stage timing report).
 CSV goes to --out (default stdout) with the fixed header below; run metadata
 (initial condition, substep, grids) goes to stderr so the CSV bytes depend
 only on the experiment spec. Floats are written in shortest round-trip form.
-A JSON config file (--config) can supply any long option (keys use
-underscores, e.g. "delta_t_fine", plus "u0" and "quadratic_lambda");
-explicit command-line flags win over the file.
+A JSON config file (--config) can supply any long option. Its keys are the
+parser's own option names by construction (underscores, e.g. "delta_t_fine"),
+plus the config-only "u0" and "quadratic_lambda"; explicit command-line
+flags win over the file.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure,
 3 verification failure.
@@ -21,9 +22,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from argparse import Namespace
 from itertools import repeat
-from typing import Optional
 
 import numpy as np
 
@@ -62,11 +62,8 @@ NUMERICAL_ERRORS = (
     NoConvergenceError,
 )
 
-CONFIG_KEYS = {
-    "system", "algorithm", "coarse", "fine", "epsilons", "dt", "dts", "T",
-    "kmax", "delta_t_fine", "out", "workers", "all_times", "u0",
-    "quadratic_lambda",
-}
+# Config keys that are not command-line options.
+CONFIG_ONLY_KEYS = {"u0", "quadratic_lambda"}
 
 
 class CliError(Exception):
@@ -76,26 +73,6 @@ class CliError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise CliError(message)
-
-
-@dataclass
-class ExperimentSpec:
-    command: str
-    system: str
-    algorithm: int
-    coarse: str
-    fine: str
-    epsilons: list
-    dt: float
-    dts: Optional[list]
-    t_final: float
-    kmax: int
-    substep: Optional[float]
-    u0: list
-    out: str
-    workers: int
-    all_times: bool
-    quadratic_lambda: float
 
 
 def _int_value(name: str, value) -> int:
@@ -142,8 +119,10 @@ def _default_kmax(command: str, algorithm: int, coarse: str) -> int:
     return {2: 6, 3: 3}[algorithm]
 
 
-def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
-    """Merge flags over the config file over built-in defaults."""
+def resolve_spec(args: Namespace) -> None:
+    """Merge flags over the config file over built-in defaults, in place:
+    each option attribute of args ends up holding its resolved value, and
+    the config-only keys are added as attributes."""
     config = {}
     if args.config is not None:
         try:
@@ -153,101 +132,83 @@ def resolve_spec(args: argparse.Namespace) -> ExperimentSpec:
             raise CliError(f"could not read config file: {exc}") from exc
         if not isinstance(config, dict):
             raise CliError("config file must hold a JSON object")
-        unknown = set(config) - CONFIG_KEYS
+        known = set(vars(args)) - {"command", "config"} | CONFIG_ONLY_KEYS
+        unknown = set(config) - known
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
 
     def pick(name, default):
         flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        return config.get(name, default)
+        return flag if flag is not None else config.get(name, default)
 
-    system = pick("system", "toy")
-    if system not in SYSTEMS:
-        raise CliError(f"unknown system {system!r} (choose from {SYSTEMS})")
-    linear = system == "toy"
+    args.system = pick("system", "toy")
+    if args.system not in SYSTEMS:
+        raise CliError(f"unknown system {args.system!r} (choose from {SYSTEMS})")
+    linear = args.system == "toy"
 
-    algorithm = _int_value("algorithm", pick("algorithm", 2))
-    if algorithm not in (1, 2, 3):
+    args.algorithm = _int_value("algorithm", pick("algorithm", 2))
+    if args.algorithm not in (1, 2, 3):
         raise CliError("algorithm must be 1, 2, or 3")
 
-    coarse = pick("coarse", "exact" if linear else "euler")
-    fine = pick("fine", "exact" if linear else "euler")
+    args.coarse = pick("coarse", "exact" if linear else "euler")
+    args.fine = pick("fine", "exact" if linear else "euler")
 
     default_eps = [1e-2] if args.command == "speedup" else DEFAULT_EPS_GRID
-    epsilons = _parse_float_list(pick("epsilons", default_eps), "--epsilons")
+    args.epsilons = _parse_float_list(pick("epsilons", default_eps), "--epsilons")
 
-    dt = _float_value("dt", pick("dt", 0.1))
-    t_final = _float_value("T", pick("T", 10.0))
-    if not (dt > 0 and t_final > 0):
+    args.dt = _float_value("dt", pick("dt", 0.1))
+    args.T = _float_value("T", pick("T", 10.0))
+    if not (args.dt > 0 and args.T > 0):
         raise CliError("dt and T must be positive")
 
     dts = pick("dts", None)
-    if args.command == "sweep-dt":
-        dts = _parse_float_list(
-            dts if dts is not None else [0.2, 0.1, 0.05, 0.025], "--dts"
-        )
-
-    kmax = _int_value(
-        "kmax", pick("kmax", _default_kmax(args.command, algorithm, coarse))
+    args.dts = _parse_float_list(
+        dts if dts is not None else [0.2, 0.1, 0.05, 0.025], "--dts"
     )
-    if kmax < 0:
+
+    args.kmax = _int_value(
+        "kmax", pick("kmax", _default_kmax(args.command, args.algorithm, args.coarse))
+    )
+    if args.kmax < 0:
         raise CliError("kmax must be >= 0")
 
     substep = pick("delta_t_fine", None)
-    if substep is None and fine == "euler":
+    if substep is None and args.fine == "euler":
         # Sized so one speedup task is a visible chunk of work.
         substep = 2e-5 if args.command == "speedup" else DEFAULT_SUBSTEP
     if substep is not None:
         substep = _float_value("delta_t_fine", substep)
         if not (substep > 0):
             raise CliError("delta-t-fine must be positive")
+    args.delta_t_fine = substep
 
-    u0 = config.get("u0", DEFAULT_U0[system])
+    u0 = pick("u0", DEFAULT_U0[args.system])
     if not isinstance(u0, list):
         raise CliError(f"u0 must be a list of numbers, got {u0!r}")
-    u0 = [_float_value("u0", v) for v in u0]
+    args.u0 = [_float_value("u0", v) for v in u0]
 
     workers = pick("workers", None)
     if workers is None:
         workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
             else (os.cpu_count() or 1)
-    workers = _int_value("workers", workers)
-    if workers < 1:
+    args.workers = _int_value("workers", workers)
+    if args.workers < 1:
         raise CliError("workers must be >= 1")
 
-    all_times = pick("all_times", False)
-    if not isinstance(all_times, bool):
+    args.all_times = pick("all_times", False)
+    if not isinstance(args.all_times, bool):
         raise CliError("all_times must be true or false")
 
-    out = pick("out", "-")
-    if not isinstance(out, str):
-        raise CliError(f"out must be a path string, got {out!r}")
+    args.out = pick("out", "-")
+    if not isinstance(args.out, str):
+        raise CliError(f"out must be a path string, got {args.out!r}")
 
-    return ExperimentSpec(
-        command=args.command,
-        system=system,
-        algorithm=algorithm,
-        coarse=coarse,
-        fine=fine,
-        epsilons=epsilons,
-        dt=dt,
-        dts=dts,
-        t_final=t_final,
-        kmax=kmax,
-        substep=substep,
-        u0=u0,
-        out=out,
-        workers=workers,
-        all_times=all_times,
-        quadratic_lambda=_float_value(
-            "quadratic_lambda", config.get("quadratic_lambda", 1.0)
-        ),
+    args.quadratic_lambda = _float_value(
+        "quadratic_lambda", pick("quadratic_lambda", 1.0)
     )
 
 
-def _build_system(spec: ExperimentSpec, epsilon: float):
+def _build_system(spec: Namespace, epsilon: float):
     if spec.system == "toy":
         return builtin_toy(epsilon)
     if spec.system == "quadratic":
@@ -255,22 +216,22 @@ def _build_system(spec: ExperimentSpec, epsilon: float):
     return builtin_brusselator(epsilon)
 
 
-def _config(spec: ExperimentSpec, dt: float, epsilon: float, **kw) -> PararealConfig:
+def _config(spec: Namespace, dt: float, epsilon: float, **kw) -> PararealConfig:
     return PararealConfig(
         system=_build_system(spec, epsilon),
-        t_final=spec.t_final,
+        t_final=spec.T,
         dt=dt,
         n_iterations=spec.kmax,
         variant=AlgorithmVariant(spec.algorithm),
         u0=np.array(spec.u0),
         micro_kind=spec.fine,
         macro_kind=spec.coarse,
-        substep=spec.substep,
+        substep=spec.delta_t_fine,
         **kw,
     )
 
 
-def _emit_tables(tables, spec: ExperimentSpec) -> str:
+def _emit_tables(tables, all_times: bool) -> str:
     """The CSV text: the header, then one row per (table, k, n).
 
     Each table's cells are formatted through their bit patterns: `repr` runs
@@ -286,7 +247,7 @@ def _emit_tables(tables, spec: ExperimentSpec) -> str:
             f"{t.system},{t.variant},{t.coarse},{t.fine},"
             f"{t.epsilon!r},{t.dt!r},{t.t_final!r}"
         )
-        ns = range(t.n_intervals + 1) if spec.all_times else [t.n_intervals]
+        ns = range(t.n_intervals + 1) if all_times else [t.n_intervals]
         errors = np.stack(
             [t.rel_macro, t.rel_micro, t.abs_macro, t.abs_micro], axis=-1
         )[:, ns]
@@ -327,7 +288,7 @@ def _write_output(text: str, out: str):
             raise CliError(f"could not write --out: {exc}") from exc
 
 
-def _print_metadata(spec: ExperimentSpec, epsilons: list):
+def _print_metadata(spec: Namespace, epsilons: list):
     """Run metadata on stderr, naming the dt (or dts) and epsilons that run."""
     step = f"dts={spec.dts!r}" if spec.command == "sweep-dt" else f"dt={spec.dt!r}"
     print(
@@ -336,8 +297,8 @@ def _print_metadata(spec: ExperimentSpec, epsilons: list):
         file=sys.stderr,
     )
     print(
-        f"# u0={spec.u0} T={spec.t_final!r} {step} "
-        f"substep={spec.substep} kmax={spec.kmax}",
+        f"# u0={spec.u0} T={spec.T!r} {step} "
+        f"substep={spec.delta_t_fine} kmax={spec.kmax}",
         file=sys.stderr,
     )
     print(f"# epsilons={epsilons!r}", file=sys.stderr)
@@ -345,7 +306,7 @@ def _print_metadata(spec: ExperimentSpec, epsilons: list):
         print(f"# quadratic_lambda={spec.quadratic_lambda!r}", file=sys.stderr)
 
 
-def cmd_sweep(spec: ExperimentSpec) -> int:
+def cmd_sweep(spec: Namespace) -> int:
     """sweep-epsilon, sweep-k and sweep-dt: one error table per grid point,
     from one engine run per dt, whose fine stage --workers slabs. With
     --workers > 1 all runs share one pool.
@@ -370,7 +331,7 @@ def cmd_sweep(spec: ExperimentSpec) -> int:
     finally:
         if pool is not None:
             pool.shutdown()
-    _write_output(_emit_tables(tables, spec), spec.out)
+    _write_output(_emit_tables(tables, spec.all_times), spec.out)
     return 0
 
 
@@ -384,7 +345,7 @@ def cmd_verify() -> int:
     return 0 if failed == 0 else 3
 
 
-def cmd_speedup(spec: ExperimentSpec) -> int:
+def cmd_speedup(spec: Namespace) -> int:
     _check_out(spec.out)
     config = _config(spec, spec.dt, spec.epsilons[0], with_reference=False)
     _print_metadata(spec, spec.epsilons[:1])
@@ -447,12 +408,12 @@ def main(argv=None) -> int:
         if args.command == "verify":
             return cmd_verify()
         try:
-            spec = resolve_spec(args)
+            resolve_spec(args)
         except (TypeError, ValueError) as exc:
             raise CliError(str(exc)) from exc
         command = cmd_speedup if args.command == "speedup" else cmd_sweep
         try:
-            return command(spec)
+            return command(args)
         except ValueError as exc:
             # Config-shaped problems surfacing from the library layer.
             raise CliError(str(exc)) from exc

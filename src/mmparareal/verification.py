@@ -19,6 +19,7 @@ import numpy as np
 from . import analysis, engine, linalg
 from .analysis import TOY_U0
 from .engine import AlgorithmVariant, PararealConfig
+from .propagators import make_micro
 from .systems import builtin_brusselator, builtin_toy
 from .transfer import TransferSet, transfer_for
 
@@ -276,13 +277,11 @@ def check_determinism_across_workers():
 
 
 def check_euler_micro_order():
-    from .propagators import EulerMicro, ExactLinearMicro
-
     system = builtin_toy(1e-2)
-    exact = ExactLinearMicro(system, 0.1).step(TOY_U0)
+    exact = make_micro(system, 0.1).step(TOY_U0)
     substeps = np.array([0.1 / m for m in (100, 200, 400, 800, 1600)])
     errors = [
-        np.linalg.norm(EulerMicro(system, 0.1, h).step(TOY_U0) - exact)
+        np.linalg.norm(make_micro(system, 0.1, "euler", h).step(TOY_U0) - exact)
         for h in substeps
     ]
     fit = analysis.fit_slope(substeps, errors, floor=0.0)

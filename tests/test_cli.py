@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -7,7 +6,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
@@ -237,7 +235,7 @@ class TestDeterminism:
         assert "epsilons=[0.001, 0.01]\n" in err
 
 
-def _emit_tables_rowwise(tables, spec):
+def _emit_tables_rowwise(tables, all_times):
     # The row-by-row writer that cli._emit_tables replaced, kept as its oracle.
     lines = [CSV_HEADER]
     for t in tables:
@@ -245,7 +243,7 @@ def _emit_tables_rowwise(tables, spec):
             f"{t.system},{t.variant},{t.coarse},{t.fine},"
             f"{t.epsilon!r},{t.dt!r},{t.t_final!r}"
         )
-        ns = range(t.n_intervals + 1) if spec.all_times else [t.n_intervals]
+        ns = range(t.n_intervals + 1) if all_times else [t.n_intervals]
         errors = np.stack(
             [t.rel_macro, t.rel_micro, t.abs_macro, t.abs_micro], axis=-1
         )[:, ns]
@@ -270,35 +268,35 @@ class TestEmitTables:
     def _captured(self, monkeypatch, argv):
         seen = []
 
-        def record(tables, spec):
-            seen.append((tables, spec))
+        def record(tables, all_times):
+            seen.append(tables)
             return ""
 
         monkeypatch.setattr(cli, "_emit_tables", record)
         assert main([*argv, "--workers", "1"]) == 0
         monkeypatch.undo()
-        (tables, spec), = seen
-        return tables, spec
+        tables, = seen
+        return tables
 
     @pytest.mark.parametrize("all_times", [False, True])
     def test_sweep_k_tables_match_rowwise_writer(self, monkeypatch, all_times):
-        tables, spec = self._captured(monkeypatch, [
+        tables = self._captured(monkeypatch, [
             "sweep-k", "--epsilons", "1e-4,1e-3,1e-2", "--T", "2", "--kmax", "4",
         ])
-        spec = dataclasses.replace(spec, all_times=all_times)
-        expected = _emit_tables_rowwise(tables, spec)
-        assert cli._emit_tables(tables, spec) == expected
+        expected = _emit_tables_rowwise(tables, all_times)
+        assert cli._emit_tables(tables, all_times) == expected
         assert expected.count("\n") == 1 + 3 * 5 * (21 if all_times else 1)
 
     def test_sweep_dt_tables_of_mixed_n_match_rowwise_writer(self, monkeypatch):
-        tables, spec = self._captured(monkeypatch, [
+        tables = self._captured(monkeypatch, [
             "sweep-dt", "--dts", "0.5,0.25,0.2", "--epsilons", "1e-3",
             "--T", "1", "--kmax", "2", "--all-times",
         ])
         assert [t.n_intervals for t in tables] == [2, 4, 5]
         for all_times in (False, True):
-            spec = dataclasses.replace(spec, all_times=all_times)
-            assert cli._emit_tables(tables, spec) == _emit_tables_rowwise(tables, spec)
+            assert cli._emit_tables(tables, all_times) == _emit_tables_rowwise(
+                tables, all_times
+            )
 
     def test_special_values_keep_their_own_repr(self):
         nan_payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(float)[0]
@@ -312,9 +310,8 @@ class TestEmitTables:
                                       np.full((2, 3), np.nan), values[:2, :, 0]])
         tables = [first, second, third]
         for all_times in (False, True):
-            spec = types.SimpleNamespace(all_times=all_times)
-            text = cli._emit_tables(tables, spec)
-            assert text == _emit_tables_rowwise(tables, spec)
+            text = cli._emit_tables(tables, all_times)
+            assert text == _emit_tables_rowwise(tables, all_times)
         assert ",-0.0," in text and ",0.0," in text and ",nan," in text
         assert ",5e-324" in text and ",-inf" in text
 
@@ -626,6 +623,62 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert "u0=[0.5, 0.25]" in err
         assert "quadratic_lambda=2.0" in err
+
+
+    # One valid value per config key: every option of the sweep parsers
+    # except --config, plus the config-only keys.
+    VALID_VALUES = {
+        "system": "toy", "algorithm": 1, "coarse": "exact", "fine": "exact",
+        "epsilons": [1e-3], "dt": 0.2, "dts": [0.1], "T": 2.0, "kmax": 1,
+        "delta_t_fine": 1e-4, "out": "-", "workers": 1, "all_times": True,
+        "u0": [1.0, 0.5, 0.0], "quadratic_lambda": 2.0,
+    }
+
+    def test_valid_values_cover_every_option(self):
+        args = cli.build_parser().parse_args(["sweep-k"])
+        keys = set(vars(args)) - {"command", "config"} | cli.CONFIG_ONLY_KEYS
+        assert set(self.VALID_VALUES) == keys
+
+    @pytest.mark.parametrize("key", sorted(VALID_VALUES))
+    def test_each_option_is_a_config_key(self, tmp_path, key):
+        cfg = tmp_path / "one.json"
+        cfg.write_text(json.dumps({key: self.VALID_VALUES[key]}))
+        args = cli.build_parser().parse_args(["sweep-k", "--config", str(cfg)])
+        cli.resolve_spec(args)
+        assert getattr(args, key) == self.VALID_VALUES[key]
+
+    @pytest.mark.parametrize("key", ["bogus", "command", "config"])
+    def test_other_keys_are_rejected(self, tmp_path, capsys, key):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({key: 1}))
+        assert main(["sweep-k", "--config", str(cfg), "--workers", "1"]) == 1
+        assert f"error: unknown config keys: [{key!r}]" in capsys.readouterr().err
+
+
+class TestDtsParsedForEveryCommand:
+    ARGV = ["sweep-k", "--T", "1", "--kmax", "1", "--epsilons", "1e-3",
+            "--workers", "1"]
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_malformed_dts_exits_1(self, tmp_path, capsys, monkeypatch, source):
+        monkeypatch.setattr(engine, "run", _no_run)
+        if source == "flag":
+            extra = ["--dts", "abc"]
+        else:
+            cfg = tmp_path / "dts.json"
+            cfg.write_text(json.dumps({"dts": "abc"}))
+            extra = ["--config", str(cfg)]
+        assert main([*self.ARGV, *extra]) == 1
+        assert "error: could not parse --dts" in capsys.readouterr().err
+
+    def test_valid_dts_leaves_sweep_k_bytes_unchanged(self, tmp_path):
+        code, plain = run_to_file(tmp_path, "plain.csv", *self.ARGV)
+        assert code == 0
+        code, with_dts = run_to_file(
+            tmp_path, "dts.csv", *self.ARGV, "--dts", "0.1"
+        )
+        assert code == 0
+        assert with_dts == plain
 
 
 class TestSweepExamples:
