@@ -18,21 +18,28 @@ steps act on the last axis and broadcast over the others.
   right-hand side; blow-up raises NonFiniteStateError instead of silently
   propagating NaN, and a substep past explicit Euler's stability limit is
   rejected at construction, for every member of a grid before any step. A
-  nonlinear system is stepped by one loop on its d components, each held
-  in a local of its own, so a substep computes the d derivatives and then
-  makes d updates ui = ui + h * dui. The built-in systems have this loop
-  written by hand (systems.EULER_LOOPS); any other rhs is called,
-  micro_rhs((u0, ...), epsilon), once per substep, by a loop generated
-  once per d (_call_loop), as Python cannot name d locals generically. The
-  components are Python floats for one state and columns for a row, taken
-  with np.moveaxis(u, -1, 0); on a grid epsilon is the (E,) vector of the
-  members, broadcast against the (..., E) columns. All give the same
-  IEEE-754 double arithmetic, elementwise, as numpy's array recurrence
+  nonlinear system is stepped by one loop on its d components, so a
+  substep computes the d derivatives and then makes d updates
+  ui = ui + h * dui. The components are Python floats for one state, each
+  in a local of its own, and columns for a row, taken with
+  np.moveaxis(u, -1, 0); on a grid epsilon is the (E,) vector of the
+  members, broadcast against the (..., E) columns. The built-in systems
+  have two loops written by hand (systems.EULER_LOOPS): one on floats, and
+  one that steps a C-contiguous copy of a row's (d, ...) column stack in
+  place, writing the derivatives into one stack du with out= ufunc calls
+  and updating with one multiply(h, du, du) and one add(u, du, u). Any
+  other rhs is called, micro_rhs((u0, ...), epsilon), once per substep, on
+  floats or columns alike, by a loop generated once per d (_call_loop), as
+  Python cannot name d locals generically. All give the same IEEE-754
+  double arithmetic, elementwise, as numpy's array recurrence
   u + h * micro_rhs(u), so a row's endpoints are bitwise those of its
   states stepped one by one. On floats a Brusselator substep costs about
-  0.3 us by hand and 0.5 us called, against 5 us for the array recurrence;
-  on columns numpy's per-call cost is paid once per term and substep for
-  the whole row. A linear system keeps the array loop, one interval at a
+  0.3 us by hand and 0.5 us called, against 5 us for the array recurrence.
+  On columns numpy's per-call cost is paid once per ufunc call and substep
+  for the whole row: a Brusselator substep makes 13 calls in place, and 17
+  allocating ones when called (about 13 against 16-21 us on 100
+  rows); a quadratic one makes 7 against 9 (7 against 11 us).
+  A linear system keeps the array loop, one interval at a
   time, in two buffers: a copy u of the state and a derivative t. Its rhs
   has the contract rhs(u, out), writing B u into out with no temporary:
   B.dot(u, out) (a BLAS matrix-vector product), on a grid one np.matmul
@@ -169,17 +176,18 @@ def _call_loop(d: int):
 
 
 def _loop_for(rhs, d: int):
-    """The Euler loop for rhs on d components and the arguments it takes
-    before h. A built-in rhs, or a partial of one with positional bound
-    arguments, takes its loop of EULER_LOOPS and the bound arguments; any
-    other callable is called."""
+    """The Euler loops for rhs on d components, a pair (float_loop,
+    column_loop), and the arguments they take before h. A built-in rhs, or
+    a partial of one with positional bound arguments, takes its pair of
+    EULER_LOOPS and the bound arguments; any other callable is called, by
+    (_call_loop(d), None)."""
     func, bound = rhs, ()
     if type(rhs) is partial and not rhs.keywords:
         func, bound = rhs.func, rhs.args
     # A user's callable class may define __eq__ and so have no hash.
     if isinstance(func, Hashable) and func in EULER_LOOPS:
         return EULER_LOOPS[func], bound
-    return _call_loop(d), (rhs,)
+    return (_call_loop(d), None), (rhs,)
 
 
 def _euler_float_substeps(
@@ -189,11 +197,18 @@ def _euler_float_substeps(
     # d components: Python floats for one state, columns for a row (an (E,)
     # epsilon broadcasts against the (..., E) columns of a grid). Overflow
     # gives inf (not an exception), which the endpoint check catches.
-    v = u.tolist() if u.ndim == 1 else np.moveaxis(u, -1, 0)
-    loop, args = _loop_for(rhs, u.shape[-1])
+    (loop, column_loop), args = _loop_for(rhs, u.shape[-1])
     with np.errstate(over="ignore", invalid="ignore"):
-        v = loop(*args, h, n_sub, v, epsilon)
-    return np.array(v) if u.ndim == 1 else np.stack(v, axis=-1)
+        if u.ndim == 1:
+            return np.array(loop(*args, h, n_sub, u.tolist(), epsilon))
+        if column_loop is None:
+            v = loop(*args, h, n_sub, np.moveaxis(u, -1, 0), epsilon)
+            return np.stack(v, axis=-1)
+        # A copy, always: the engine passes views of its lattice rows, and
+        # the moved axes of a 1-row slab are already C-contiguous.
+        v = np.array(np.moveaxis(u, -1, 0), dtype=float, order="C")
+        column_loop(*args, h, n_sub, v, epsilon)
+    return np.ascontiguousarray(np.moveaxis(v, 0, -1))
 
 
 class ExactLinearMicro:

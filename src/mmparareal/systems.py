@@ -137,9 +137,11 @@ class NonlinearFastSlowSystem:
     propagator's endpoint check catches.
 
     The Euler micro propagator is not bound to call micro_rhs: a built-in
-    rhs, or a partial of one, is stepped by its hand-written loop in
-    EULER_LOOPS, bitwise as if called. Any other callable, such as a user's
-    function, lambda or closure, is called once per substep.
+    rhs, or a partial of one, is stepped by its hand-written loops in
+    EULER_LOOPS, bitwise as if called: one on the floats of one state, one
+    that steps a row's component columns in place. Any other callable, such
+    as a user's function, lambda or closure, is called once per substep,
+    on floats and on columns alike.
     """
 
     slow_dim: int
@@ -236,6 +238,21 @@ def _quadratic_euler_loop(lam, h, n_sub, v, epsilon):
     return x, y
 
 
+def _quadratic_euler_columns(lam, h, n_sub, u, epsilon):
+    x, y = u
+    du = np.empty_like(u)
+    du0, du1 = du
+    multiply, subtract, divide, add = np.multiply, np.subtract, np.divide, np.add
+    for _ in range(n_sub):
+        multiply(-lam, x, du0)
+        subtract(du0, y, du0)
+        multiply(x, x, du1)
+        subtract(du1, y, du1)
+        divide(du1, epsilon, du1)
+        multiply(h, du, du)
+        add(u, du, u)
+
+
 def _quadratic_macro_rhs(lam: float, x: np.ndarray) -> np.ndarray:
     x0 = x[..., :1]
     return -lam * x0 - x0 * x0
@@ -294,6 +311,28 @@ def _brusselator_euler_loop(h, n_sub, v, epsilon):
     return x1, x2, y
 
 
+def _brusselator_euler_columns(h, n_sub, u, epsilon):
+    x1, x2, y = u
+    du = np.empty_like(u)
+    du0, du1, du2 = du
+    x1x1x2, yx1 = np.empty((2, *u.shape[1:]))
+    multiply, subtract, divide, add = np.multiply, np.subtract, np.divide, np.add
+    for _ in range(n_sub):
+        multiply(x1, x1, x1x1x2)
+        multiply(x1x1x2, x2, x1x1x2)
+        multiply(y, x1, yx1)
+        add(y, 1.0, du0)
+        multiply(du0, x1, du0)
+        subtract(BRUSSELATOR_A, du0, du0)
+        add(du0, x1x1x2, du0)
+        subtract(yx1, x1x1x2, du1)
+        subtract(BRUSSELATOR_B, y, du2)
+        divide(du2, epsilon, du2)
+        subtract(du2, yx1, du2)
+        multiply(h, du, du)
+        add(u, du, u)
+
+
 def _brusselator_macro_rhs(x: np.ndarray) -> np.ndarray:
     x1, x2 = x[..., 0], x[..., 1]
     return np.stack(
@@ -322,12 +361,18 @@ def builtin_brusselator(epsilon: float) -> NonlinearFastSlowSystem:
     )
 
 
-# The Euler loop of each built-in micro rhs: loop(*bound, h, n_sub, v,
-# epsilon) makes n_sub substeps from the components v, where bound are the
-# arguments a partial of the rhs binds. Each computes every derivative, as
-# the rhs does, before any update ui = ui + h * dui, so its endpoints are
+# The Euler loops of each built-in micro rhs, a pair (float_loop,
+# column_loop); bound are the arguments a partial of the rhs binds.
+# float_loop(*bound, h, n_sub, v, epsilon) makes n_sub substeps from the d
+# Python floats v of one state and returns the d floats it ends at.
+# column_loop(*bound, h, n_sub, u, epsilon) steps in place a C-contiguous
+# (d, ...) stack u of component columns, which it owns: each substep writes
+# every derivative row of one stack du with out= ufunc calls, then makes
+# all d updates with one multiply(h, du, du) and one add(u, du, u), with no
+# allocation. Both compute every derivative, term by term in the rhs's own
+# order, before any update ui = ui + h * dui, so their endpoints are
 # bitwise those of the loop that calls the rhs, without the call.
 EULER_LOOPS = {
-    _quadratic_micro_rhs: _quadratic_euler_loop,
-    _brusselator_micro_rhs: _brusselator_euler_loop,
+    _quadratic_micro_rhs: (_quadratic_euler_loop, _quadratic_euler_columns),
+    _brusselator_micro_rhs: (_brusselator_euler_loop, _brusselator_euler_columns),
 }

@@ -615,6 +615,11 @@ BUILDERS = {
     systems._quadratic_micro_rhs: partial(builtin_quadratic, 1.0),
     systems._brusselator_micro_rhs: builtin_brusselator,
 }
+# A state of each that overflows within two substeps.
+BLOW_UPS = {
+    systems._quadratic_micro_rhs: [1e200, 0.0],
+    systems._brusselator_micro_rhs: [1e60, 1e60, 3.0],
+}
 REGISTERED = pytest.mark.parametrize(
     "func", list(systems.EULER_LOOPS), ids=lambda f: f.__name__.split("_")[1]
 )
@@ -643,12 +648,68 @@ class TestRegisteredLoops:
 
     @REGISTERED
     def test_builtin_takes_its_registered_loop(self, func):
-        # The registered loop gives the called loop's numbers, only faster,
-        # so a built-in that stops resolving to it shows only here.
+        # The registered loops give the called loop's numbers, only faster,
+        # so a built-in that stops resolving to them shows only here. Every
+        # entry is a pair: a loop on floats and one on component columns.
         system = BUILDERS[func](1e-3)
         rhs = EulerMicro(system, 0.1, 1e-4).rhs
         bound = rhs.args if isinstance(rhs, partial) else ()
-        assert _loop_for(rhs, system.dim) == (systems.EULER_LOOPS[func], bound)
+        loops = systems.EULER_LOOPS[func]
+        assert len(loops) == 2 and all(map(callable, loops))
+        assert _loop_for(rhs, system.dim) == (loops, bound)
+
+    @REGISTERED
+    @pytest.mark.parametrize(
+        "shape, grid",
+        [((7,), False), ((5,), True), ((1,), False), ((0,), False)],
+        ids=["row", "grid-row", "1-row", "0-row"],
+    )
+    def test_column_loop_is_bitwise_the_float_loop(
+        self, func, shape, grid, monkeypatch
+    ):
+        # A row or grid row is stepped by one call of the column loop, on
+        # its (d, ...) stack of columns; each state ends bitwise where the
+        # float loop takes it alone, a grid slot with its member's epsilon.
+        float_loop, column_loop = systems.EULER_LOOPS[func]
+        stacks = []
+
+        def spy(*args):
+            stacks.append(args[-2].shape)
+            column_loop(*args)
+
+        monkeypatch.setitem(systems.EULER_LOOPS, func, (float_loop, spy))
+        system = _system(BUILDERS[func], grid)
+        prop = EulerMicro(system, 0.1, 1e-4)
+        states = _shaped_states(system, shape, grid)
+        bound = _loop_for(prop.rhs, states.shape[-1])[1]
+        got = prop.step(states)
+        assert stacks == [(states.shape[-1], *states.shape[:-1])]
+        assert got.shape == states.shape and got.flags.c_contiguous
+        for index in np.ndindex(states.shape[:-1]):
+            member = system[index[-1]] if grid else system
+            want = float_loop(
+                *bound, prop.h, prop.n_sub, states[index].tolist(), member.epsilon
+            )
+            assert got[index].tobytes() == np.array(want).tobytes()
+
+    @REGISTERED
+    @pytest.mark.parametrize(
+        "slab", [slice(2, 3), slice(0, 4), slice(None, None, 2)],
+        ids=["1-row", "4-rows", "strided"],
+    )
+    @pytest.mark.parametrize("grid", [False, True], ids=["plain", "grid"])
+    def test_column_loop_leaves_the_lattice_unwritten(self, func, slab, grid):
+        # The column loop steps its stack in place, so the stack must be a
+        # copy even where the moved axes of a lattice-row view are already
+        # C-contiguous, as they are for a 1-row slab.
+        system = _system(BUILDERS[func], grid)
+        prop = EulerMicro(system, 0.1, 1e-4)
+        row = _shaped_states(system, (5,), grid)
+        lattice = np.stack([row, row, row])
+        before = lattice.tobytes()
+        got = prop.step(lattice[1, slab])
+        assert lattice.tobytes() == before
+        assert not np.array_equal(got, lattice[1, slab])
 
     @STATE_SHAPES
     @REGISTERED
@@ -657,7 +718,7 @@ class TestRegisteredLoops:
         system = _system(build, grid)
         called = EulerMicro(_system(_lambda_rhs(build), grid), 0.1, 1e-4)
         dim = build(1e-3).dim
-        assert _loop_for(called.rhs, dim)[0] is _call_loop(dim)
+        assert _loop_for(called.rhs, dim)[0] == (_call_loop(dim), None)
         states = _shaped_states(system, shape, grid)
         registered = EulerMicro(system, 0.1, 1e-4)
         assert np.array_equal(called.step(states), registered.step(states))
@@ -681,7 +742,7 @@ class TestRegisteredLoops:
         # grid slot ends bitwise as its own array recurrence.
         system = _system(four_component, grid)
         prop = EulerMicro(system, 0.1, 1e-4)
-        assert _loop_for(prop.rhs, 4)[0] is _call_loop(4)
+        assert _loop_for(prop.rhs, 4)[0] == (_call_loop(4), None)
         states = _shaped_states(system, shape, grid)
         got = prop.step(states)
         for index in np.ndindex(states.shape[:-1]):
@@ -699,7 +760,7 @@ class TestRegisteredLoops:
     def test_other_bodies_are_called_bitwise(self, func, shape):
         system = dataclasses.replace(builtin_quadratic(1.0, 1e-3), micro_rhs=func)
         prop = EulerMicro(system, 0.1, 1e-4)
-        assert _loop_for(prop.rhs, 2) == (_call_loop(2), (func,))
+        assert _loop_for(prop.rhs, 2) == ((_call_loop(2), None), (func,))
         states = _shaped_states(system, shape, False)
         got = prop.step(states)
         for index in np.ndindex(shape):
@@ -713,7 +774,7 @@ class TestRegisteredLoops:
         copy = type(rhs)(rhs.__code__, rhs.__globals__)
         system = builtin_brusselator(1e-3)
         called = EulerMicro(dataclasses.replace(system, micro_rhs=copy), 0.1, 1e-4)
-        assert _loop_for(called.rhs, 3)[0] is _call_loop(3)
+        assert _loop_for(called.rhs, 3)[0] == (_call_loop(3), None)
         states = _shaped_states(system, (5,), False)
         registered = EulerMicro(system, 0.1, 1e-4)
         assert np.array_equal(called.step(states), registered.step(states))
@@ -724,7 +785,7 @@ class TestRegisteredLoops:
         system = builtin_quadratic(1.0, 1e-3)
         rhs = _CountingPartial(systems._quadratic_micro_rhs, 1.0)
         called = EulerMicro(dataclasses.replace(system, micro_rhs=rhs), 0.1, 1e-4)
-        assert _loop_for(called.rhs, 2) == (_call_loop(2), (rhs,))
+        assert _loop_for(called.rhs, 2) == ((_call_loop(2), None), (rhs,))
         state = _shaped_states(system, (), False)
         before = rhs.calls
         got = called.step(state)
@@ -737,18 +798,21 @@ class TestRegisteredLoops:
             dataclasses.replace(system, micro_rhs=_UnhashableRhs(system.micro_rhs)),
             0.1, 1e-4,
         )
-        assert _loop_for(called.rhs, 3)[0] is _call_loop(3)
+        assert _loop_for(called.rhs, 3)[0] == (_call_loop(3), None)
         states = _shaped_states(system, (5,), False)
         registered = EulerMicro(system, 0.1, 1e-4)
         assert np.array_equal(called.step(states), registered.step(states))
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 3)], ids=["state", "row"])
-    def test_registered_blow_up_raises_without_warning(self, shape):
-        # x1 * x1 * x2 overflows to inf within two substeps, and inf - inf
-        # gives NaN: on floats and on columns alike, the error is the only
-        # signal.
-        prop = EulerMicro(builtin_brusselator(1e-3), 0.1, 1e-4)
-        states = np.broadcast_to([1e60, 1e60, 3.0], shape).copy()
+    @STATE_SHAPES
+    @REGISTERED
+    def test_registered_blow_up_raises_without_warning(self, func, shape, grid):
+        # The quadratic's x * x and the Brusselator's x1 * x1 * x2 overflow
+        # to inf within two substeps, and inf - inf gives NaN: on floats and
+        # on columns alike, the error is the only signal.
+        system = _system(BUILDERS[func], grid)
+        prop = EulerMicro(system, 0.1, 1e-4)
+        shape = _shaped_states(system, shape, grid).shape
+        states = np.broadcast_to(BLOW_UPS[func], shape).copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteStateError):
