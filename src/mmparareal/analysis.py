@@ -353,15 +353,20 @@ class SpeedupReport:
     ideal: Optional[float]          # N/K, None when K = 0
     fine_wall_seconds: float
     fine_task_seconds: float
-    measured_ratio: Optional[float]  # summed task time / fine-stage wall time
+    # Summed slab seconds over the fine-stage wall; not a speed-up (below).
+    measured_ratio: Optional[float]
 
 
 def speedup_report(run: PararealRun) -> SpeedupReport:
-    """Ideal N/K speed-up and the measured fine-stage parallel efficiency.
+    """Ideal N/K speed-up and the measured ratio of the fine stage.
 
-    The measured ratio compares the summed per-task seconds (what a single
-    worker would spend) with the fine-stage wall-clock; it is about 1 for
-    one worker and approaches the worker count with perfect scaling.
+    The measured ratio is the summed slab seconds, each timed inside its
+    task, over the fine stage's wall time, summed over the iterations. It is
+    about 1 for one worker. It is not a speed-up: with more workers than
+    CPUs each slab's seconds include the time its process waits for a CPU,
+    which inflates the sum, and iteration 0's wall includes forking the
+    pool. So it can exceed 1 while the fine stage gets slower; compare the
+    fine-stage walls across worker counts for that.
     """
     config = run.config
     n, k = config.n_intervals, config.n_iterations

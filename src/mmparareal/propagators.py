@@ -8,7 +8,7 @@ A micro propagator can also be built for an epsilon grid: a tuple of E
 members of one system that differ only in epsilon. It steps (..., E, d)
 arrays, member e's state in slot e of axis -2, bitwise as member e's own
 propagator steps it. Only the micro propagators see epsilon; the macro
-steps act on the last axis and broadcast over the others.
+steps act on the last axis, elementwise over the others.
 
 * exact-linear micro: u -> exp(B dt) u with the exponential cached at
   construction (the iteration applies it N*K times); one np.matmul steps a
@@ -46,15 +46,30 @@ steps act on the last axis and broadcast over the others.
   by the members' stacked (E, d, d) B. A substep is then rhs(u, t);
   t *= h; u += t, numpy's u + h * (B @ u) bit for bit;
 * exact-linear macro: X -> exp(lam dt) X, with exp(lam dt) > 0 cached;
-* forward-euler macro: a single explicit Euler step of the slow model;
+* forward-euler macro: a single explicit Euler step of the slow model,
+  Xi = Xi + dt * dXi;
 * rk4 macro: classical Runge-Kutta 4 substeps of the slow model, at most
   DEFAULT_MACRO_SUBSTEP long, so the coarse step resolves the macro model
   (linear or nonlinear) and its error is the modeling error alone.
+  The Euler and RK4 macro steps each have one step body, written over the
+  tuple of the s slow components that macro_rhs takes and returns (see
+  NonlinearFastSlowSystem): Python floats for one state, (s,) or a
+  one-member grid's (1, s), taken with x.ravel().tolist(), and columns for
+  a row or grid, the x[..., i] of np.moveaxis(x, -1, 0). Its operations
+  are those of numpy's array recurrence, in their order (x + dt * rhs(x)
+  for Euler), so the endpoints are bitwise the same. The sequential coarse
+  sweeps step one state at a time: on floats an RK4 step of 20 substeps
+  costs about 45-60 us against 0.3-0.9 ms for the array recurrence, an
+  Euler step about 2 us against 5-12 us. On columns a step costs within a
+  factor of 2 of the array recurrence, either way (a quadratic Euler step
+  on 21 columns: about 10 us against 6 us; a Brusselator RK4 step: 0.65 ms
+  against 1.0 ms).
 
 Every step but the exact-linear macro one checks its endpoint, once per
-call, with math.isfinite over u.ravel().tolist(), a fraction of the cost of
-np.all(np.isfinite(u)) on a state of a few components. Overflow inside a
-step runs on silently, so NonFiniteStateError is the only signal of a blow-up.
+call, with math.isfinite over its floats (u.ravel().tolist() of an array),
+a fraction of the cost of np.all(np.isfinite(u)) on a state of a few
+components. Overflow inside a step runs on silently, so NonFiniteStateError
+is the only signal of a blow-up.
 
 Propagators are immutable after construction, cheap to pickle, and their
 step functions are pure, so they can be fanned out across worker processes.
@@ -292,6 +307,26 @@ class ExactLinearMacro:
         return self.rho * x
 
 
+def _step_components(advance, x: np.ndarray, context: str) -> np.ndarray:
+    """x stepped by advance(v), a step written over the tuple v of the s
+    components of a slow state: Python floats for one state, of shape (s,)
+    or (1, s) as in a one-member grid's sweep, columns for more states."""
+    # As for the micro steps: a blow-up runs on to inf/NaN, and a non-finite
+    # substep leaves a non-finite endpoint. Python float arithmetic never
+    # warns, so only the columns need np.errstate, which costs about as much
+    # as a whole Euler step on floats.
+    if x.size == x.shape[-1]:
+        v = advance(tuple(x.ravel().tolist()))
+        if not all(map(math.isfinite, v)):
+            raise NonFiniteStateError(f"non-finite state in {context}")
+        return np.array(v).reshape(x.shape)
+    # The columns x[..., i] are those of np.moveaxis(x, -1, 0), at a fifth
+    # of its cost.
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = advance(tuple([x[..., i] for i in range(x.shape[-1])]))
+    return _require_finite(np.stack(v, axis=-1), context)
+
+
 class EulerMacro:
     """Single explicit Euler step of the slow model."""
 
@@ -299,11 +334,12 @@ class EulerMacro:
         self.dt = float(dt)
         self.rhs = system.macro_rhs
 
+    def _advance(self, x: tuple) -> tuple:
+        dt = self.dt
+        return tuple(map(lambda xi, dxi: xi + dt * dxi, x, self.rhs(x)))
+
     def step(self, x: np.ndarray) -> np.ndarray:
-        # A blow-up runs on to inf/NaN for the endpoint check, without warnings.
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = x + self.dt * self.rhs(x)
-        return _require_finite(x, "Euler macro step")
+        return _step_components(self._advance, x, "Euler macro step")
 
 
 class RK4Macro:
@@ -319,17 +355,31 @@ class RK4Macro:
         self.h = self.dt / self.n_sub
         self.rhs = system.macro_rhs
 
-    def step(self, x: np.ndarray) -> np.ndarray:
+    def _advance(self, x: tuple) -> tuple:
         h, rhs = self.h, self.rhs
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(self.n_sub):
-                k1 = rhs(x)
-                k2 = rhs(x + 0.5 * h * k1)
-                k3 = rhs(x + 0.5 * h * k2)
-                k4 = rhs(x + h * k3)
-                x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        # As for Euler: a non-finite substep leaves a non-finite endpoint.
-        return _require_finite(x, "RK4 macro step")
+        half, sixth = 0.5 * h, h / 6.0
+
+        # Made once per step, not per substep: a closure made per call
+        # costs a third of a float substep.
+        def half_step(xi, ki):
+            return xi + half * ki
+
+        def full_step(xi, ki):
+            return xi + h * ki
+
+        def combine(xi, k1, k2, k3, k4):
+            return xi + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+        for _ in range(self.n_sub):
+            k1 = rhs(x)
+            k2 = rhs(tuple(map(half_step, x, k1)))
+            k3 = rhs(tuple(map(half_step, x, k2)))
+            k4 = rhs(tuple(map(full_step, x, k3)))
+            x = tuple(map(combine, x, k1, k2, k3, k4))
+        return x
+
+    def step(self, x: np.ndarray) -> np.ndarray:
+        return _step_components(self._advance, x, "RK4 macro step")
 
 
 def make_micro(system, dt: float, kind: str = "exact", substep=None):

@@ -57,8 +57,9 @@ class LinearFastSlowSystem:
                 "fast matrix must have all eigenvalue real parts > 0, "
                 f"got min real part {self.lam_minus:.3e}"
             )
-        # A^-1 q drives both the macro rate and the lifting; cache it once.
+        # A^-1 q drives both the macro rate and the lifting; cache both once.
         self.a_inv_q = linalg.solve(self.A, self.q)
+        self._macro_rate = float(self.alpha + self.p @ self.a_inv_q)
         self._b = self._assemble_b()
 
     @property
@@ -86,15 +87,15 @@ class LinearFastSlowSystem:
     def b_matrix(self) -> np.ndarray:
         return self._b
 
-    def micro_rhs(self, u: np.ndarray) -> np.ndarray:
-        return self._b @ u
-
     def macro_rate(self) -> float:
         """Effective slow rate lam = alpha + p . (A^-1 q)."""
-        return float(self.alpha + self.p @ self.a_inv_q)
+        return self._macro_rate
 
-    def macro_rhs(self, x: np.ndarray) -> np.ndarray:
-        return self.macro_rate() * np.asarray(x, dtype=float)
+    def macro_rhs(self, x: Sequence[float]) -> tuple[float]:
+        """(lam X,), on the tuple of the one slow component, as
+        NonlinearFastSlowSystem.macro_rhs takes it."""
+        (x0,) = x
+        return (self._macro_rate * x0,)
 
     def lift_map(self, x: np.ndarray) -> np.ndarray:
         """X -> (X, (A^-1 q) X), the point of the slow manifold over X."""
@@ -121,20 +122,22 @@ class NonlinearFastSlowSystem:
     Callables must be pure; the built-in constructors below use module-level
     functions so systems can cross process boundaries.
 
-    macro_rhs and lift_map take a (..., slow_dim) array, one slow state or a
-    row of them, and must act on the last axis row by row (x[..., 0], not
-    x[0]); construction probes both with a 2-row batch.
+    The two right-hand sides share one contract. micro_rhs(u, epsilon) takes
+    u as a tuple of d components, macro_rhs(X) takes X as a tuple of
+    slow_dim components, and each returns exactly as many components: Python
+    floats for one state, (n,) float arrays, the component columns, for a
+    row of n states (or columns of any one shape, for a grid). The
+    propagators call them both ways and unpack or zip the result, so any
+    other count fails there. Construction probes both ways, requiring the
+    right count of finite results and each result column to equal the
+    results for its states. Write them with + - * / on the components only,
+    as the built-ins do: math.exp or float() fail on a column, indexing
+    x[..., 0] fails on a tuple, and float ** raises OverflowError where
+    + - * / overflow to inf, which the propagators' endpoint check catches.
 
-    micro_rhs(u, epsilon) takes u as a tuple of d components and returns
-    exactly d components: d Python floats for one state, d (n,) float
-    arrays, the component columns, for a row of n states. The Euler micro
-    propagator calls it both ways on every substep and unpacks the result
-    into d names, so any other count raises ValueError there. Construction
-    probes both ways, requiring d results and each result column to equal
-    the result for its row. Write it with + - * / on the components only,
-    as the built-ins do: math.exp or float() fail on a column, and float **
-    raises OverflowError where + - * / overflow to inf, which the
-    propagator's endpoint check catches.
+    lift_map takes a (..., slow_dim) array, one slow state or a row of
+    them, and must act on the last axis row by row (x[..., 0], not x[0]);
+    construction probes it with a 2-row batch.
 
     The Euler micro propagator is not bound to call micro_rhs: a built-in
     rhs, or a partial of one, is stepped by its hand-written loops in
@@ -147,7 +150,7 @@ class NonlinearFastSlowSystem:
     slow_dim: int
     fast_dim: int
     micro_rhs: Callable[[Sequence[float], float], Sequence[float]]
-    macro_rhs: Callable[[np.ndarray], np.ndarray]
+    macro_rhs: Callable[[Sequence[float]], Sequence[float]]
     lift_map: Callable[[np.ndarray], np.ndarray]
     epsilon: float
 
@@ -160,54 +163,63 @@ class NonlinearFastSlowSystem:
         if not (0 < self.epsilon < math.inf):
             raise ValueError("epsilon must be positive and finite")
         # Probe the callables once: lift must be a right inverse of the
-        # slow-part restriction, and both rhs must return finite derivatives.
-        # micro_rhs is probed with the tuples the Euler propagator passes, so
-        # sequence arithmetic such as u + u (concatenation) is caught here,
-        # at construction, rather than by the substep loop's unpacking.
+        # slow-part restriction and map a row row by row, and both rhs must
+        # map the tuples the propagators pass them.
         probe = np.ones(self.slow_dim)
         lifted = np.asarray(self.lift_map(probe), dtype=float)
         if lifted.shape != (self.dim,):
             raise ValueError("lift_map must return a full state")
         if not np.array_equal(lifted[: self.slow_dim], probe):
             raise ValueError("lift_map output must restrict to its input")
-        du = np.asarray(self.micro_rhs(tuple(lifted.tolist()), self.epsilon))
-        if du.shape != (self.dim,):
-            raise ValueError("micro_rhs must return one derivative per component")
-        if not np.all(np.isfinite(du)):
-            raise ValueError("micro_rhs returned non-finite values on probe")
-        if not np.all(np.isfinite(self.macro_rhs(probe))):
-            raise ValueError("macro_rhs returned non-finite values on probe")
-        # A per-state callable such as lambda x: np.array([-x[0]]) would
+        # A per-state lift such as lambda x: np.array([x[0], 0.0]) would
         # broadcast row 0's result over a whole row of states.
         rows = probe * np.array([[1.0], [2.0]])
-        for name in ("lift_map", "macro_rhs"):
-            f = getattr(self, name)
-            try:
-                batch = np.asarray(f(rows), dtype=float)
-            except (IndexError, TypeError, ValueError):
-                batch = None
-            if not np.array_equal(batch, [f(row) for row in rows]):
-                raise ValueError(f"{name} must map a (n, slow_dim) array row by row")
-        # A rhs built with math.exp or float() accepts floats but not the
-        # component columns of a row.
-        states = lifted * np.array([[1.0], [2.0]])
         try:
-            columns = np.stack(
-                np.broadcast_arrays(*self.micro_rhs(tuple(states.T), self.epsilon)),
-                axis=-1,
-            )
+            batch = np.asarray(self.lift_map(rows), dtype=float)
         except (IndexError, TypeError, ValueError):
-            columns = None
-        per_state = [self.micro_rhs(tuple(u.tolist()), self.epsilon) for u in states]
-        if not np.array_equal(columns, per_state):
-            raise ValueError(
-                "micro_rhs must map a tuple of d (n,) component columns "
-                "column by column"
-            )
+            batch = None
+        if not np.array_equal(batch, [self.lift_map(row) for row in rows]):
+            raise ValueError("lift_map must map a (n, slow_dim) array row by row")
+        _probe_components(
+            "micro_rhs", lifted * np.array([[1.0], [2.0]]),
+            self.micro_rhs, self.epsilon,
+        )
+        _probe_components("macro_rhs", rows, self.macro_rhs)
 
     @property
     def dim(self) -> int:
         return self.slow_dim + self.fast_dim
+
+
+def _probe_components(name: str, states: np.ndarray, f, *args) -> None:
+    """Check that f(v, *args) maps v, the tuple of the d components of each
+    of the (n, d) states as Python floats, to d finite components, and the
+    tuple of their (n,) columns to the columns of those results. Sequence
+    arithmetic such as u + u (concatenation), indexing such as x[..., 0]
+    and math.exp or float() on a column are caught here, at construction,
+    rather than by a propagator."""
+    n, d = states.shape
+    try:
+        per_state = np.array(
+            [f(tuple(u.tolist()), *args) for u in states], dtype=float
+        )
+    except (IndexError, TypeError, ValueError):
+        per_state = None
+    if per_state is None or per_state.shape != (n, d):
+        raise ValueError(f"{name} must map a tuple of {d} floats to {d} floats")
+    if not np.all(np.isfinite(per_state)):
+        raise ValueError(f"{name} returned non-finite values on probe")
+    try:
+        columns = np.stack(
+            [np.broadcast_to(c, (n,)) for c in f(tuple(states.T), *args)], axis=-1
+        )
+    except (IndexError, TypeError, ValueError):
+        columns = None
+    if not np.array_equal(columns, per_state):
+        raise ValueError(
+            f"{name} must map a tuple of {d} (n,) component columns "
+            "column by column"
+        )
 
 
 def builtin_toy(epsilon: float) -> LinearFastSlowSystem:
@@ -253,9 +265,9 @@ def _quadratic_euler_columns(lam, h, n_sub, u, epsilon):
         add(u, du, u)
 
 
-def _quadratic_macro_rhs(lam: float, x: np.ndarray) -> np.ndarray:
-    x0 = x[..., :1]
-    return -lam * x0 - x0 * x0
+def _quadratic_macro_rhs(lam: float, x: Sequence[float]) -> tuple[float]:
+    (x0,) = x
+    return (-lam * x0 - x0 * x0,)
 
 
 def _quadratic_lift(x: np.ndarray) -> np.ndarray:
@@ -333,14 +345,12 @@ def _brusselator_euler_columns(h, n_sub, u, epsilon):
         add(u, du, u)
 
 
-def _brusselator_macro_rhs(x: np.ndarray) -> np.ndarray:
-    x1, x2 = x[..., 0], x[..., 1]
-    return np.stack(
-        [
-            BRUSSELATOR_A - (BRUSSELATOR_B + 1.0) * x1 + x1 * x1 * x2,
-            BRUSSELATOR_B * x1 - x1 * x1 * x2,
-        ],
-        axis=-1,
+def _brusselator_macro_rhs(x: Sequence[float]) -> tuple[float, float]:
+    x1, x2 = x
+    x1x1x2 = x1 * x1 * x2
+    return (
+        BRUSSELATOR_A - (BRUSSELATOR_B + 1.0) * x1 + x1x1x2,
+        BRUSSELATOR_B * x1 - x1x1x2,
     )
 
 

@@ -13,7 +13,7 @@ from mmparareal import verification
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_with_tracing(code: str):
+def run_with_tracing(code: str, *args: str):
     env = {
         **os.environ,
         "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]),
@@ -21,7 +21,7 @@ def run_with_tracing(code: str):
         "PYTHONDONTWRITEBYTECODE": "1",
     }
     proc = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, "-c", code, *args],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -160,3 +160,25 @@ def test_traced_verify_passes_every_check():
     # The benchmark's traced verify: the determinism check submits a run to
     # its pool under the tracer's wrappers.
     run_with_tracing(TRACED_VERIFY)
+
+
+PINNED_DIGESTS = """
+import json, sys
+from pathlib import Path
+import workloads
+
+expected = json.loads((Path(workloads.__file__).parent / "expected.json").read_text())
+for name in sys.argv[1:]:
+    workload = workloads.WORKLOADS[name](0, 1, None)
+    workload.call()
+    digest, problems = workload.check()
+    assert not problems, (name, problems)
+    assert digest == expected[name], (name, digest, expected[name])
+"""
+
+
+def test_nonlinear_workload_digests_pinned():
+    # The benchmark pins these seed-0 digests; they hash Euler lattices of
+    # elementwise IEEE-754 arithmetic, so they hold on any host. toy-sweep-k
+    # is left out: its bits go through BLAS and scipy's expm.
+    run_with_tracing(PINNED_DIGESTS, "brusselator-euler", "quadratic-lifting-2w")

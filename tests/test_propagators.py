@@ -46,8 +46,8 @@ def _four_micro_rhs(u, epsilon):
 
 
 def _four_macro_rhs(x):
-    x1, x2 = x[..., 0], x[..., 1]
-    return np.stack([-x1 + 0.5 * x1 * x2, -0.5 * x2 - 0.25 * (x1 + x2) * x1], axis=-1)
+    x1, x2 = x
+    return (-x1 + 0.5 * x1 * x2, -0.5 * x2 - 0.25 * (x1 + x2) * x1)
 
 
 def _four_lift(x):
@@ -101,7 +101,7 @@ class TestEulerMicro:
         system = builtin_toy(1e-2)
         prop = EulerMicro(system, dt=1e-3, substep=1e-3)
         u = np.array([1.0, 0.2, -0.1])
-        assert np.array_equal(prop.step(u), u + 1e-3 * system.micro_rhs(u))
+        assert np.array_equal(prop.step(u), u + 1e-3 * (system.b_matrix() @ u))
 
     def test_substeps_compose(self):
         system = builtin_toy(1e-2)
@@ -366,23 +366,6 @@ class TestMacroPropagators:
         with pytest.raises(ValueError):
             make_macro(builtin_quadratic(1.0, 1e-3), 0.1, kind="exact")
 
-    @pytest.mark.parametrize(
-        "system, x0",
-        [
-            (builtin_quadratic(1.0, 1e-3), [-1e160]),
-            (builtin_brusselator(1e-3), [1e160, 1e160]),
-        ],
-        ids=["quadratic", "brusselator"],
-    )
-    def test_euler_blow_up_raises_without_warning(self, system, x0):
-        # x * x overflows inside the macro right-hand side; the error must
-        # be the only signal.
-        prop = make_macro(system, 0.1, kind="euler")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(NonFiniteStateError):
-                prop.step(np.array(x0))
-
 
 def _quadratic_closed_form(x0, t, lam=1.0):
     """Solution of dX/dt = -lam X - X^2 from X(0) = x0."""
@@ -439,6 +422,116 @@ class TestRK4Macro:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteStateError):
                 prop.step(np.array([-10.0]))
+
+
+# The macro rhs of each system under the array contract the macro
+# propagators stepped before they took tuples of components: a
+# (..., slow_dim) array in and out, acting on the last axis.
+def _quadratic_macro_array(x, lam=1.0):
+    x0 = x[..., :1]
+    return -lam * x0 - x0 * x0
+
+
+def _brusselator_macro_array(x):
+    a, b = systems.BRUSSELATOR_A, systems.BRUSSELATOR_B
+    x1, x2 = x[..., 0], x[..., 1]
+    return np.stack([a - (b + 1.0) * x1 + x1 * x1 * x2, b * x1 - x1 * x1 * x2], axis=-1)
+
+
+def _four_macro_array(x):
+    x1, x2 = x[..., 0], x[..., 1]
+    return np.stack([-x1 + 0.5 * x1 * x2, -0.5 * x2 - 0.25 * (x1 + x2) * x1], axis=-1)
+
+
+def _toy_macro_array(x):
+    return builtin_toy(1e-2).macro_rate() * np.asarray(x, dtype=float)
+
+
+MACRO_SYSTEMS = {
+    "quadratic": (builtin_quadratic(1.0, 1e-3), _quadratic_macro_array),
+    "brusselator": (builtin_brusselator(1e-3), _brusselator_macro_array),
+    "toy": (builtin_toy(1e-2), _toy_macro_array),
+    "four-component": (four_component(1e-3), _four_macro_array),
+}
+
+
+def _euler_macro_oracle(prop, rhs, x):
+    """The array recurrence of the Euler macro step."""
+    return x + prop.dt * rhs(x)
+
+
+def _rk4_macro_oracle(prop, rhs, x):
+    """The array recurrence of the RK4 macro step."""
+    h = prop.h
+    for _ in range(prop.n_sub):
+        k1 = rhs(x)
+        k2 = rhs(x + 0.5 * h * k1)
+        k3 = rhs(x + 0.5 * h * k2)
+        k4 = rhs(x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+MACRO_ORACLES = {"euler": _euler_macro_oracle, "rk4": _rk4_macro_oracle}
+
+
+class TestMacroComponentSteps:
+    """The macro steps run on the Python floats of one state and on the
+    component columns of a row or grid, bitwise the array recurrence."""
+
+    @pytest.mark.parametrize(
+        "shape", [(), (0,), (1,), (7,), (len(GRID_EPS),), (7, len(GRID_EPS))],
+        ids=["state", "row-0", "row-1", "row-7", "grid-row", "grid"],
+    )
+    @pytest.mark.parametrize("kind", list(MACRO_ORACLES))
+    @pytest.mark.parametrize("name", list(MACRO_SYSTEMS))
+    def test_bitwise_the_array_recurrence(self, name, kind, shape):
+        system, array_rhs = MACRO_SYSTEMS[name]
+        prop = make_macro(system, 0.1, kind)
+        rng = np.random.default_rng(len(shape) + sum(shape))
+        x = rng.uniform(0.2, 2.0, (*shape, system.slow_dim))
+        before = x.tobytes()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = prop.step(x)
+        want = MACRO_ORACLES[kind](prop, array_rhs, x)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert x.tobytes() == before
+
+    def test_a_sweep_is_bitwise_the_array_recurrence(self):
+        # 2c's corrected sweep feeds each endpoint back in, 100 times over.
+        system, array_rhs = MACRO_SYSTEMS["brusselator"]
+        for kind, oracle in MACRO_ORACLES.items():
+            prop = make_macro(system, 0.1, kind)
+            got = want = np.array([1.0, 2.0])
+            for _ in range(100):
+                got, want = prop.step(got), oracle(prop, array_rhs, want)
+                assert got.tobytes() == want.tobytes(), kind
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["state", "row", "grid"])
+    @pytest.mark.parametrize(
+        "kind, context", [("euler", "Euler macro step"), ("rk4", "RK4 macro step")]
+    )
+    @pytest.mark.parametrize(
+        "system, x0",
+        [
+            (builtin_quadratic(1.0, 1e-3), [-1e160]),
+            (builtin_brusselator(1e-3), [1e160, 1e160]),
+        ],
+        ids=["quadratic", "brusselator"],
+    )
+    def test_blow_up_raises_without_warning(self, system, x0, kind, context, shape):
+        # On floats x * x overflows to inf with no exception; on columns
+        # numpy's overflow warning is silenced. The error is the only signal.
+        x = np.broadcast_to(np.array(x0), (*shape, len(x0))).copy()
+        if shape:
+            x.reshape(-1, len(x0))[0] = 1.0
+        prop = make_macro(system, 0.1, kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError, match=context):
+                prop.step(x)
 
 
 # Steps that check their endpoint, each with a finite state it accepts.

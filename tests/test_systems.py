@@ -26,6 +26,12 @@ class TestMacroRate:
         sys = LinearFastSlowSystem(alpha=0.0, p=[1.0], q=[1.0], A=[[2.0]], epsilon=1e-2)
         assert abs(sys.macro_rate() - 0.5) <= 1e-15
 
+    def test_rate_is_computed_once_and_drives_the_macro_rhs(self):
+        sys = builtin_toy(1e-3)
+        assert sys.macro_rate() is sys.macro_rate()
+        assert sys.macro_rate() == float(sys.alpha + sys.p @ sys.a_inv_q)
+        assert sys.macro_rhs((2.0,)) == (sys.macro_rate() * 2.0,)
+
 
 class TestSlowManifoldOffset:
     def test_lifted_states_have_zero_offset(self):
@@ -79,7 +85,7 @@ class TestBuiltinToy:
     def test_micro_rhs_matches_blocks(self):
         sys = builtin_toy(1e-2)
         u = np.array([1.0, 0.5, -0.5])
-        du = sys.micro_rhs(u)
+        du = sys.b_matrix() @ u
         assert math.isclose(du[0], -0.5 * 1.0 - 0.25 * (0.5 - 0.5))
         expected_fast = (sys.q * u[0] - sys.A @ u[1:]) / sys.epsilon
         assert np.allclose(du[1:], expected_fast, rtol=1e-14)
@@ -153,7 +159,7 @@ class TestNonlinearValidation:
                 slow_dim=1,
                 fast_dim=1,
                 micro_rhs=lambda u, eps: np.zeros(2),
-                macro_rhs=lambda x: np.zeros(1),
+                macro_rhs=lambda x: (0.0 * x[0],),
                 lift_map=lambda x: np.array([x[0] + 1.0, 0.0]),
                 epsilon=1e-3,
             )
@@ -165,7 +171,7 @@ class TestNonlinearValidation:
                 slow_dim=1,
                 fast_dim=1,
                 micro_rhs=lambda u, eps: u + u,
-                macro_rhs=lambda x: np.zeros(1),
+                macro_rhs=lambda x: (0.0 * x[0],),
                 lift_map=lambda x: np.concatenate([x, [0.0]]),
                 epsilon=1e-3,
             )
@@ -187,7 +193,7 @@ class TestNonlinearValidation:
                 slow_dim=1,
                 fast_dim=1,
                 micro_rhs=micro_rhs,
-                macro_rhs=lambda x: -x,
+                macro_rhs=lambda x: (-x[0],),
                 lift_map=lambda x: np.concatenate([x, np.zeros_like(x)], axis=-1),
                 epsilon=1e-3,
             )
@@ -197,21 +203,32 @@ class TestNonlinearValidation:
             slow_dim=1,
             fast_dim=1,
             micro_rhs=lambda u, eps: (1.0, -u[1] / eps),
-            macro_rhs=lambda x: np.ones_like(x),
+            macro_rhs=lambda x: (1.0,),
             lift_map=lambda x: np.concatenate([x, np.zeros_like(x)], axis=-1),
             epsilon=1e-3,
         )
         assert system.dim == 2
 
-    def test_per_state_macro_rhs_is_rejected(self):
-        # On a row of slow states, x[0] is the first state: row 0's
-        # derivative would be broadcast over the whole row.
+    @pytest.mark.parametrize(
+        "macro_rhs",
+        [
+            lambda x: -x[..., :1],
+            lambda x: (-x[..., 0],),
+            lambda x: (-math.exp(x[0]),),
+            lambda x: (x[0] if x[0] > 0 else -x[0],),
+        ],
+        ids=["array", "ellipsis", "math.exp", "branch"],
+    )
+    def test_per_state_macro_rhs_is_rejected(self, macro_rhs):
+        # The first two take a slow-state array, as lift_map does, and fail
+        # on the tuple of floats of one state; the last two work on floats
+        # but not on the component columns of a row.
         with pytest.raises(ValueError, match="macro_rhs"):
             NonlinearFastSlowSystem(
                 slow_dim=1,
                 fast_dim=1,
                 micro_rhs=lambda u, eps: np.zeros(2),
-                macro_rhs=lambda x: np.array([-x[0]]),
+                macro_rhs=macro_rhs,
                 lift_map=lambda x: np.concatenate([x, np.zeros_like(x)], axis=-1),
                 epsilon=1e-3,
             )
@@ -222,7 +239,7 @@ class TestNonlinearValidation:
                 slow_dim=1,
                 fast_dim=1,
                 micro_rhs=lambda u, eps: np.zeros(2),
-                macro_rhs=lambda x: -x,
+                macro_rhs=lambda x: (-x[0],),
                 lift_map=lambda x: np.array([x[0], 0.0]),
                 epsilon=1e-3,
             )
@@ -233,7 +250,7 @@ class TestNonlinearValidation:
                 slow_dim=1,
                 fast_dim=1,
                 micro_rhs=lambda u, eps: np.array([np.inf, 0.0]),
-                macro_rhs=lambda x: np.zeros(1),
+                macro_rhs=lambda x: (0.0 * x[0],),
                 lift_map=lambda x: np.concatenate([x, [0.0]]),
                 epsilon=1e-3,
             )
