@@ -163,8 +163,8 @@ class NonlinearFastSlowSystem:
         if not (0 < self.epsilon < math.inf):
             raise ValueError("epsilon must be positive and finite")
         # Probe the callables once: lift must be a right inverse of the
-        # slow-part restriction and map a row row by row, and both rhs must
-        # map the tuples the propagators pass them.
+        # slow-part restriction and map a row of states row by row, and both
+        # rhs must map the tuples the propagators pass them.
         probe = np.ones(self.slow_dim)
         lifted = np.asarray(self.lift_map(probe), dtype=float)
         if lifted.shape != (self.dim,):
