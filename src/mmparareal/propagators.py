@@ -57,13 +57,9 @@ steps act on the last axis, elementwise over the others.
   one-member grid's (1, s), taken with x.ravel().tolist(), and columns for
   a row or grid, the x[..., i] of np.moveaxis(x, -1, 0). Its operations
   are those of numpy's array recurrence, in their order (x + dt * rhs(x)
-  for Euler), so the endpoints are bitwise the same. The sequential coarse
-  sweeps step one state at a time: on floats an RK4 step of 20 substeps
-  costs about 45-60 us against 0.3-0.9 ms for the array recurrence, an
-  Euler step about 2 us against 5-12 us. On columns a step costs within a
-  factor of 2 of the array recurrence, either way (a quadratic Euler step
-  on 21 columns: about 10 us against 6 us; a Brusselator RK4 step: 0.65 ms
-  against 1.0 ms).
+  for Euler), so the endpoints are bitwise the same. Floats, because the
+  sequential coarse sweeps step one state at a time, and a few float
+  operations cost less than one numpy call on a state of s components.
 
 Every step but the exact-linear macro one checks its endpoint, once per
 call, with math.isfinite over its floats (u.ravel().tolist() of an array),
@@ -213,7 +209,7 @@ def _euler_float_substeps(
     # epsilon broadcasts against the (..., E) columns of a grid). Overflow
     # gives inf (not an exception), which the endpoint check catches.
     (loop, column_loop), args = _loop_for(rhs, u.shape[-1])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if u.ndim == 1:
             return np.array(loop(*args, h, n_sub, u.tolist(), epsilon))
         if column_loop is None:
@@ -289,8 +285,12 @@ class EulerMicro:
     def step(self, u: np.ndarray) -> np.ndarray:
         # self.rhs is read here, not bound at construction, so a wrapper
         # installed on the instance takes the call loop and sees every
-        # substep.
-        u = self._substeps(self.rhs, self.h, self.n_sub, u)
+        # substep. On floats, where numpy gives inf, Python raises
+        # (u0 / 0.0, an overflowing **).
+        try:
+            u = self._substeps(self.rhs, self.h, self.n_sub, u)
+        except (ZeroDivisionError, OverflowError) as err:
+            raise NonFiniteStateError("non-finite state in Euler micro step") from err
         # Non-finite values cannot cancel back to finite ones under +/*,
         # so checking the endpoint catches any blown-up substep.
         return _require_finite(u, "Euler micro step")
@@ -313,18 +313,24 @@ def _step_components(advance, x: np.ndarray, context: str) -> np.ndarray:
     or (1, s) as in a one-member grid's sweep, columns for more states."""
     # As for the micro steps: a blow-up runs on to inf/NaN, and a non-finite
     # substep leaves a non-finite endpoint. Python float arithmetic never
-    # warns, so only the columns need np.errstate, which costs about as much
-    # as a whole Euler step on floats.
+    # warns, so only the columns need np.errstate; where numpy gives inf,
+    # it raises instead (x / 0.0, an overflowing **).
     if x.size == x.shape[-1]:
-        v = advance(tuple(x.ravel().tolist()))
+        try:
+            v = advance(tuple(x.ravel().tolist()))
+        except (ZeroDivisionError, OverflowError) as err:
+            raise NonFiniteStateError(f"non-finite state in {context}") from err
         if not all(map(math.isfinite, v)):
             raise NonFiniteStateError(f"non-finite state in {context}")
         return np.array(v).reshape(x.shape)
-    # The columns x[..., i] are those of np.moveaxis(x, -1, 0), at a fifth
-    # of its cost.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # The columns x[..., i] are those of np.moveaxis(x, -1, 0), taken
+    # without the moved view.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         v = advance(tuple([x[..., i] for i in range(x.shape[-1])]))
-    return _require_finite(np.stack(v, axis=-1), context)
+    out = np.empty(x.shape)
+    for i, vi in enumerate(v):
+        out[..., i] = vi
+    return _require_finite(out, context)
 
 
 class EulerMacro:

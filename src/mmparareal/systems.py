@@ -131,9 +131,11 @@ class NonlinearFastSlowSystem:
     other count fails there. Construction probes both ways, requiring the
     right count of finite results and each result column to equal the
     results for its states. Write them with + - * / on the components only,
-    as the built-ins do: math.exp or float() fail on a column, indexing
-    x[..., 0] fails on a tuple, and float ** raises OverflowError where
-    + - * / overflow to inf, which the propagators' endpoint check catches.
+    as the built-ins do: math.exp or float() fail on a column, and indexing
+    x[..., 0] fails on a tuple. A blow-up on columns runs on to inf or NaN,
+    which the propagators' endpoint check catches; on floats x / 0.0 and an
+    overflowing ** raise instead, and the propagators report those as the
+    same NonFiniteStateError.
 
     lift_map takes a (..., slow_dim) array, one slow state or a row of
     them, and must act on the last axis row by row (x[..., 0], not x[0]);

@@ -322,6 +322,25 @@ class TestRowStep:
             with pytest.raises(NonFiniteStateError):
                 prop.step(states)
 
+    @pytest.mark.parametrize("n", [0, 2], ids=["state", "row"])
+    def test_division_by_zero_raises_without_warning(self, n):
+        # As for the macro steps: 1.0 / 0.0 raises on floats and gives inf
+        # on columns, with numpy's divide warning silenced.
+        system = NonlinearFastSlowSystem(
+            slow_dim=1,
+            fast_dim=1,
+            micro_rhs=lambda u, eps: (1.0 / (u[0] - 0.5), -u[1] / eps),
+            macro_rhs=lambda x: (-x[0],),
+            lift_map=lambda x: np.concatenate([x, np.zeros_like(x)], axis=-1),
+            epsilon=1e-3,
+        )
+        prop = EulerMicro(system, dt=1e-3, substep=1e-5)
+        u = np.array([[0.5, 0.0], [1.0, 0.0]])[: n or 1]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError, match="Euler micro step"):
+                prop.step(u if n else u[0])
+
 
 class TestStepLeavesInput:
     @pytest.mark.parametrize("shape", ["state", "row", "grid-row"])
@@ -527,6 +546,29 @@ class TestMacroComponentSteps:
         x = np.broadcast_to(np.array(x0), (*shape, len(x0))).copy()
         if shape:
             x.reshape(-1, len(x0))[0] = 1.0
+        prop = make_macro(system, 0.1, kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError, match=context):
+                prop.step(x)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)], ids=["state", "row", "grid"])
+    @pytest.mark.parametrize(
+        "kind, context", [("euler", "Euler macro step"), ("rk4", "RK4 macro step")]
+    )
+    def test_division_by_zero_raises_without_warning(self, kind, context, shape):
+        # On floats 1.0 / 0.0 raises ZeroDivisionError; on columns it gives
+        # inf, with numpy's divide warning silenced. Both end in the error.
+        system = NonlinearFastSlowSystem(
+            slow_dim=1,
+            fast_dim=1,
+            micro_rhs=lambda u, eps: (-u[0], -u[1] / eps),
+            macro_rhs=lambda x: (1.0 / (x[0] - 0.5),),
+            lift_map=lambda x: np.concatenate([x, np.zeros_like(x)], axis=-1),
+            epsilon=1e-3,
+        )
+        x = np.ones((*shape, 1))
+        x.reshape(-1)[0] = 0.5
         prop = make_macro(system, 0.1, kind)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -166,13 +166,13 @@ class TestNonlinearValidation:
 
     def test_micro_rhs_must_return_one_value_per_component(self):
         # On the tuple state the Euler propagator passes, u + u concatenates.
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="micro_rhs must map a tuple of 2 floats"):
             NonlinearFastSlowSystem(
                 slow_dim=1,
                 fast_dim=1,
                 micro_rhs=lambda u, eps: u + u,
                 macro_rhs=lambda x: (0.0 * x[0],),
-                lift_map=lambda x: np.concatenate([x, [0.0]]),
+                lift_map=lambda x: np.concatenate([x, np.zeros_like(x)], axis=-1),
                 epsilon=1e-3,
             )
 
@@ -244,13 +244,29 @@ class TestNonlinearValidation:
                 epsilon=1e-3,
             )
 
-    def test_rhs_must_be_finite_on_probe(self):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize(
+        "name, micro_rhs, macro_rhs",
+        [
+            (
+                "micro_rhs",
+                lambda u, eps: np.array([np.inf, 0.0]),
+                lambda x: (0.0 * x[0],),
+            ),
+            (
+                "macro_rhs",
+                lambda u, eps: (0.0 * u[0], 0.0 * u[1]),
+                lambda x: (math.inf * x[0],),
+            ),
+        ],
+        ids=["micro_rhs", "macro_rhs"],
+    )
+    def test_rhs_must_be_finite_on_probe(self, name, micro_rhs, macro_rhs):
+        with pytest.raises(ValueError, match=f"{name} returned non-finite values"):
             NonlinearFastSlowSystem(
                 slow_dim=1,
                 fast_dim=1,
-                micro_rhs=lambda u, eps: np.array([np.inf, 0.0]),
-                macro_rhs=lambda x: (0.0 * x[0],),
-                lift_map=lambda x: np.concatenate([x, [0.0]]),
+                micro_rhs=micro_rhs,
+                macro_rhs=macro_rhs,
+                lift_map=lambda x: np.concatenate([x, np.zeros_like(x)], axis=-1),
                 epsilon=1e-3,
             )
