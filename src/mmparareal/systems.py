@@ -205,6 +205,9 @@ def _probe_components(name: str, states: np.ndarray, f, *args) -> None:
         per_state = np.array(
             [f(tuple(u.tolist()), *args) for u in states], dtype=float
         )
+    except (ZeroDivisionError, OverflowError):
+        # Python floats raise where numpy arithmetic gives inf.
+        raise ValueError(f"{name} returned non-finite values on probe") from None
     except (IndexError, TypeError, ValueError):
         per_state = None
     if per_state is None or per_state.shape != (n, d):

@@ -257,8 +257,13 @@ class TestNonlinearValidation:
                 lambda u, eps: (0.0 * u[0], 0.0 * u[1]),
                 lambda x: (math.inf * x[0],),
             ),
+            (
+                "macro_rhs",
+                lambda u, eps: (0.0 * u[0], 0.0 * u[1]),
+                lambda x: (1.0 / (x[0] - 1.0),),
+            ),
         ],
-        ids=["micro_rhs", "macro_rhs"],
+        ids=["micro_rhs", "macro_rhs", "macro_rhs-division-by-zero"],
     )
     def test_rhs_must_be_finite_on_probe(self, name, micro_rhs, macro_rhs):
         with pytest.raises(ValueError, match=f"{name} returned non-finite values"):
