@@ -101,11 +101,6 @@ class LinearFastSlowSystem:
         """X -> (X, (A^-1 q) X), the point of the slow manifold over X."""
         return np.concatenate([x, x[..., :1] * self.a_inv_q], axis=-1)
 
-    def slow_manifold_offset(self, u: np.ndarray) -> np.ndarray:
-        """z = y - (A^-1 q) x; zero exactly on the slow manifold."""
-        u = np.asarray(u, dtype=float)
-        return u[1:] - self.a_inv_q * u[0]
-
     def boundary_layer_time(self) -> float:
         """Width of the initial fast transient; zero for epsilon >= 1."""
         if self.epsilon >= 1.0:

@@ -268,7 +268,7 @@ def per_epsilon_lemma_ratios(system_builder, u0, eps_values):
     for eps in eps_values:
         system = system_builder(eps)
         x0 = u0[0]
-        z0 = system.slow_manifold_offset(u0)
+        z0 = u0[1:] - system.a_inv_q * u0[0]
         denom = eps * (abs(x0) + np.linalg.norm(z0))
         traj = micro_reference_trajectory(ExactLinearMicro(system, h), u0, n_grid)
         x = traj[:, 0]

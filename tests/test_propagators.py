@@ -16,7 +16,8 @@ from mmparareal.propagators import (
     ExactLinearMacro,
     NonFiniteStateError,
     RK4Macro,
-    _call_loop,
+    _called_columns,
+    _called_loop,
     _loop_for,
     _require_finite,
     make_macro,
@@ -675,7 +676,7 @@ class TestReferenceTrajectory:
 
 # Right-hand sides of the user's, each with a body unlike the built-ins':
 # a branch, a local named h, a state component assigned, no unpack of u,
-# no source. Each takes the call loop.
+# no source. Each is called, by the pair CALLED.
 def _rhs_with_branch(u, epsilon):
     x, y = u
     if epsilon > 1.0:
@@ -697,6 +698,19 @@ def _rhs_assigning_state(u, epsilon):
 
 def _rhs_indexing(u, epsilon):
     return (-u[0], -u[1] / epsilon)
+
+
+def _rhs_returning_state(u, epsilon):
+    # Its second derivative is its first component itself, on a row the
+    # input column, so a column loop that writes the stack in place while
+    # a derivative still refers to it fails it.
+    x, y = u
+    return (-x - y, x)
+
+
+def _rhs_constant(u, epsilon):
+    x, y = u
+    return (1.0, -y / epsilon)
 
 
 def _sourceless_rhs():
@@ -744,6 +758,8 @@ class _CountingPartial(partial):
         return super().__call__(*args)
 
 
+# The Euler loops of any rhs not in systems.EULER_LOOPS.
+CALLED = (_called_loop, _called_columns)
 # A system of each rhs in systems.EULER_LOOPS, so that the tests below run
 # on every registered loop; a loop registered without one fails them.
 BUILDERS = {
@@ -791,7 +807,7 @@ class TestRegisteredLoops:
         bound = rhs.args if isinstance(rhs, partial) else ()
         loops = systems.EULER_LOOPS[func]
         assert len(loops) == 2 and all(map(callable, loops))
-        assert _loop_for(rhs, system.dim) == (loops, bound)
+        assert _loop_for(rhs) == (loops, bound)
 
     @REGISTERED
     @pytest.mark.parametrize(
@@ -816,7 +832,7 @@ class TestRegisteredLoops:
         system = _system(BUILDERS[func], grid)
         prop = EulerMicro(system, 0.1, 1e-4)
         states = _shaped_states(system, shape, grid)
-        bound = _loop_for(prop.rhs, states.shape[-1])[1]
+        bound = _loop_for(prop.rhs)[1]
         got = prop.step(states)
         assert stacks == [(states.shape[-1], *states.shape[:-1])]
         assert got.shape == states.shape and got.flags.c_contiguous
@@ -852,8 +868,7 @@ class TestRegisteredLoops:
         build = BUILDERS[func]
         system = _system(build, grid)
         called = EulerMicro(_system(_lambda_rhs(build), grid), 0.1, 1e-4)
-        dim = build(1e-3).dim
-        assert _loop_for(called.rhs, dim)[0] == (_call_loop(dim), None)
+        assert _loop_for(called.rhs)[0] == CALLED
         states = _shaped_states(system, shape, grid)
         registered = EulerMicro(system, 0.1, 1e-4)
         assert np.array_equal(called.step(states), registered.step(states))
@@ -862,7 +877,7 @@ class TestRegisteredLoops:
     @REGISTERED
     def test_wrapped_rhs_is_called_every_substep_bitwise(self, func, shape, grid):
         # A wrapper over prop.rhs, such as a tracer's call counter, sees
-        # every substep: the instance takes the call loop.
+        # every substep: the instance is called, by the pair CALLED.
         system = _system(BUILDERS[func], grid)
         states = _shaped_states(system, shape, grid)
         wrapped = EulerMicro(system, 0.1, 1e-4)
@@ -877,7 +892,7 @@ class TestRegisteredLoops:
         # grid slot ends bitwise as its own array recurrence.
         system = _system(four_component, grid)
         prop = EulerMicro(system, 0.1, 1e-4)
-        assert _loop_for(prop.rhs, 4)[0] == (_call_loop(4), None)
+        assert _loop_for(prop.rhs)[0] == CALLED
         states = _shaped_states(system, shape, grid)
         got = prop.step(states)
         for index in np.ndindex(states.shape[:-1]):
@@ -889,13 +904,14 @@ class TestRegisteredLoops:
     @pytest.mark.parametrize(
         "func",
         [_rhs_with_branch, _rhs_with_loop_name, _rhs_assigning_state,
-         _rhs_indexing, _sourceless_rhs()],
-        ids=["branch", "loop-name", "assigns-state", "indexing", "no-source"],
+         _rhs_indexing, _rhs_returning_state, _rhs_constant, _sourceless_rhs()],
+        ids=["branch", "loop-name", "assigns-state", "indexing", "returns-state",
+             "constant", "no-source"],
     )
     def test_other_bodies_are_called_bitwise(self, func, shape):
         system = dataclasses.replace(builtin_quadratic(1.0, 1e-3), micro_rhs=func)
         prop = EulerMicro(system, 0.1, 1e-4)
-        assert _loop_for(prop.rhs, 2) == ((_call_loop(2), None), (func,))
+        assert _loop_for(prop.rhs) == (CALLED, (func,))
         states = _shaped_states(system, shape, False)
         got = prop.step(states)
         for index in np.ndindex(shape):
@@ -909,7 +925,7 @@ class TestRegisteredLoops:
         copy = type(rhs)(rhs.__code__, rhs.__globals__)
         system = builtin_brusselator(1e-3)
         called = EulerMicro(dataclasses.replace(system, micro_rhs=copy), 0.1, 1e-4)
-        assert _loop_for(called.rhs, 3)[0] == (_call_loop(3), None)
+        assert _loop_for(called.rhs)[0] == CALLED
         states = _shaped_states(system, (5,), False)
         registered = EulerMicro(system, 0.1, 1e-4)
         assert np.array_equal(called.step(states), registered.step(states))
@@ -920,7 +936,7 @@ class TestRegisteredLoops:
         system = builtin_quadratic(1.0, 1e-3)
         rhs = _CountingPartial(systems._quadratic_micro_rhs, 1.0)
         called = EulerMicro(dataclasses.replace(system, micro_rhs=rhs), 0.1, 1e-4)
-        assert _loop_for(called.rhs, 2) == ((_call_loop(2), None), (rhs,))
+        assert _loop_for(called.rhs) == (CALLED, (rhs,))
         state = _shaped_states(system, (), False)
         before = rhs.calls
         got = called.step(state)
@@ -933,7 +949,7 @@ class TestRegisteredLoops:
             dataclasses.replace(system, micro_rhs=_UnhashableRhs(system.micro_rhs)),
             0.1, 1e-4,
         )
-        assert _loop_for(called.rhs, 3)[0] == (_call_loop(3), None)
+        assert _loop_for(called.rhs)[0] == CALLED
         states = _shaped_states(system, (5,), False)
         registered = EulerMicro(system, 0.1, 1e-4)
         assert np.array_equal(called.step(states), registered.step(states))
@@ -953,9 +969,14 @@ class TestRegisteredLoops:
             with pytest.raises(NonFiniteStateError):
                 prop.step(states)
 
-    @REGISTERED
-    def test_pickle_round_trip_steps_bitwise(self, func):
-        system = _system(BUILDERS[func], True)
+    @pytest.mark.parametrize(
+        "build", [*BUILDERS.values(), four_component],
+        ids=["quadratic", "brusselator", "four-component"],
+    )
+    def test_pickle_round_trip_steps_bitwise(self, build):
+        # Pool workers receive a propagator by pickle: a registered pair
+        # or the called one.
+        system = _system(build, True)
         prop = EulerMicro(system, 0.1, 1e-4)
         copy = pickle.loads(pickle.dumps(prop))
         states = _shaped_states(system, (5,), True)
