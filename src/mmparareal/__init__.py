@@ -15,7 +15,6 @@ from .analysis import (
     epsilon_order,
     fit_slope,
     lemma_diagnostics,
-    speedup_report,
 )
 from .engine import (
     AlgorithmVariant,
@@ -64,7 +63,6 @@ __all__ = [
     "micro_reference_trajectory",
     "parareal_iteration",
     "run",
-    "speedup_report",
     "transfer_for",
 ]
 

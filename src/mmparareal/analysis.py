@@ -346,43 +346,6 @@ def sharpness_witness(epsilon: float) -> LinearFastSlowSystem:
     )
 
 
-@dataclass(eq=False)
-class SpeedupReport:
-    n_intervals: int
-    n_iterations: int
-    ideal: Optional[float]          # N/K, None when K = 0
-    fine_wall_seconds: float
-    fine_task_seconds: float
-    # Summed slab seconds over the fine-stage wall; not a speed-up (below).
-    measured_ratio: Optional[float]
-
-
-def speedup_report(run: PararealRun) -> SpeedupReport:
-    """Ideal N/K speed-up and the measured ratio of the fine stage.
-
-    The measured ratio is the summed slab seconds, each timed inside its
-    task, over the fine stage's wall time, summed over the iterations. It is
-    about 1 for one worker. It is not a speed-up: with more workers than
-    CPUs each slab's seconds include the time its process waits for a CPU,
-    which inflates the sum, and iteration 0's wall includes forking the
-    pool. So it can exceed 1 while the fine stage gets slower; compare the
-    fine-stage walls across worker counts for that.
-    """
-    config = run.config
-    n, k = config.n_intervals, config.n_iterations
-    wall = float(sum(run.timings.fine_wall))
-    tasks = float(sum(run.timings.fine_task_seconds))
-    measured = tasks / wall if (k > 0 and wall > 0) else None
-    return SpeedupReport(
-        n_intervals=n,
-        n_iterations=k,
-        ideal=(n / k) if k > 0 else None,
-        fine_wall_seconds=wall,
-        fine_task_seconds=tasks,
-        measured_ratio=measured,
-    )
-
-
 def format_ideal_speedup(ideal: float) -> str:
     """One-decimal truncation: 100/6 prints as 16.6."""
     return f"{math.floor(ideal * 10.0) / 10.0:.1f}"

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
@@ -181,8 +181,11 @@ def init_sweep(config: PararealConfig) -> PararealRun:
     u[0][0] = config.u0
     x0 = x[0]
     x0[0] = tset.restrict(config.u0)
-    for j in range(n):
-        x0[j + 1] = macro.step(x0[j])
+    try:
+        for j in range(n):
+            x0[j + 1] = macro.step(x0[j])
+    except NonFiniteStateError as exc:
+        raise NonFiniteStateError(f"{exc}; init sweep, dt={config.dt!r}") from exc
     u[0][1:] = tset.lift(x0[1:])
 
     return PararealRun(
@@ -268,27 +271,22 @@ def _member_reference(prop, u0: np.ndarray, n: int) -> np.ndarray:
         ) from exc
 
 
-def _run_now(func, *args) -> Future:
-    """func(*args), called here and now, as a finished Future."""
-    future = Future()
-    future.set_result(func(*args))
-    return future
-
-
 def run(config: PararealConfig, workers: int = 1, pool=None) -> PararealRun:
-    """Init sweep, reference trajectory, then K correction iterations.
+    """Init sweep, K correction iterations and the reference trajectory.
 
     With workers > 1 the run forks its own pool and shuts it down on return,
     unless the caller passes one in pool, which the run uses and leaves
     running. The reference is one sequential trajectory per member, by its
     own micro propagator. It never feeds the iteration, so with a pool it is
     submitted as one task per member before iteration 0 and gathered after
-    the last iteration; without one it is stepped first, in this process.
+    the last iteration; without one it is stepped after the last iteration,
+    in this process, so a run whose iterations fail never steps it.
     """
     r = init_sweep(config)
 
     own_pool = pool is None and workers > 1
-    references = []
+    args = (config.u0, config.n_intervals)
+    props, references = [], []
     try:
         if own_pool:
             pool = worker_pool(workers)
@@ -297,15 +295,15 @@ def run(config: PararealConfig, workers: int = 1, pool=None) -> PararealRun:
                 make_micro(m, config.dt, config.micro_kind, config.substep)
                 for m in config.members
             ]
-            submit = _run_now if pool is None else pool.submit
-            references = [
-                submit(_member_reference, p, config.u0, config.n_intervals)
-                for p in props
-            ]
+        if pool is not None:
+            references = [pool.submit(_member_reference, p, *args) for p in props]
         for k in range(config.n_iterations):
             parareal_iteration(r, k, workers=workers, pool=pool)
-        if references:
-            trajectories = [future.result() for future in references]
+        if props:
+            trajectories = (
+                [_member_reference(p, *args) for p in props] if pool is None
+                else [future.result() for future in references]
+            )
             r.reference = (
                 trajectories[0] if config.members is None
                 else np.stack(trajectories, axis=1)

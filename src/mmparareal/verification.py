@@ -221,7 +221,7 @@ def check_matching_equals_plain_parareal():
     config = run.config
     phi = run.micro_prop.phi
     rho = run.macro_prop.rho
-    n, kmax, d = config.n_intervals, config.n_iterations, 3
+    n, kmax, d = config.n_intervals, config.n_iterations, config.system.dim
 
     def coarse_embedded(u):
         out = np.zeros(d)
@@ -252,13 +252,6 @@ def _lattices_identical(runs) -> bool:
     )
 
 
-def _lattices(config, workers=1, pool=None):
-    """The u and x lattices of one engine.run. A pool task pickles the
-    function it runs by name, so the check submits this one."""
-    run = engine.run(config, workers=workers, pool=pool)
-    return run.u, run.x
-
-
 def check_determinism_across_workers():
     config = _toy_config(
         AlgorithmVariant.MATCHING, kmax=2, coarse="euler", fine="euler",
@@ -268,9 +261,9 @@ def check_determinism_across_workers():
     # run's two slabs go to the other two, so the two runs overlap.
     pool = engine.worker_pool(3)
     try:
-        alone = pool.submit(_lattices, config)
-        split = _lattices(config, workers=2, pool=pool)
-        same = all(map(np.array_equal, alone.result(), split))
+        alone = pool.submit(engine.run, config)
+        split = engine.run(config, workers=2, pool=pool)
+        same = _lattices_identical([alone.result(), split])
     finally:
         pool.shutdown(cancel_futures=True)
     return same, "lattices bit-identical for 1 and 2 workers"

@@ -15,7 +15,6 @@ from mmparareal.analysis import (
     format_ideal_speedup,
     lemma_diagnostics,
     sharpness_witness,
-    speedup_report,
 )
 from mmparareal.engine import AlgorithmVariant, PararealConfig, run
 from mmparareal.propagators import ExactLinearMicro, micro_reference_trajectory
@@ -356,72 +355,6 @@ class TestLemmaDiagnostics:
 
 
 class TestSpeedup:
-    def test_ideal_ratio(self):
-        r = run(
-            PararealConfig(
-                system=builtin_toy(1e-2),
-                t_final=10.0,
-                dt=0.1,
-                n_iterations=6,
-                variant=AlgorithmVariant.MATCHING,
-                u0=TOY_U0,
-                with_reference=False,
-            )
-        )
-        report = speedup_report(r)
-        assert report.n_intervals == 100
-        assert report.n_iterations == 6
-        assert report.ideal == pytest.approx(100 / 6)
-
-    def test_as_many_iterations_as_intervals(self):
-        r = run(
-            PararealConfig(
-                system=builtin_toy(1e-2),
-                t_final=1.0,
-                dt=0.1,
-                n_iterations=10,
-                variant=AlgorithmVariant.MATCHING,
-                u0=TOY_U0,
-                with_reference=False,
-            )
-        )
-        assert speedup_report(r).ideal == pytest.approx(1.0)
-
-    def test_no_iterations_leaves_ratio_undefined(self):
-        r = run(
-            PararealConfig(
-                system=builtin_toy(1e-2),
-                t_final=1.0,
-                dt=0.1,
-                n_iterations=0,
-                variant=AlgorithmVariant.MATCHING,
-                u0=TOY_U0,
-                with_reference=False,
-            )
-        )
-        report = speedup_report(r)
-        assert report.ideal is None
-        assert report.measured_ratio is None
-
-    def test_single_worker_ratio_near_one(self):
-        # Substantial per-task work so loop overhead stays small next to it.
-        r = run(
-            PararealConfig(
-                system=builtin_toy(1e-2),
-                t_final=2.0,
-                dt=0.1,
-                n_iterations=1,
-                variant=AlgorithmVariant.MATCHING,
-                u0=TOY_U0,
-                micro_kind="euler",
-                substep=2e-5,
-                with_reference=False,
-            ),
-            workers=1,
-        )
-        report = speedup_report(r)
-        assert 0.3 <= report.measured_ratio <= 1.1
-
     def test_format_truncates_to_one_decimal(self):
         assert format_ideal_speedup(100 / 6) == "16.6"
         assert format_ideal_speedup(1.0) == "1.0"

@@ -742,6 +742,27 @@ class TestSpeedup:
         assert "workers=1" in out
         assert "measured ratio" in out
 
+    def test_as_many_iterations_as_intervals(self, capsys):
+        code = main(["speedup", "--kmax", "10", "--T", "1", "--fine", "exact",
+                     "--workers", "1"])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "N = 10 intervals, K = 10 iterations" in out
+        assert "ideal speed-up N/K = 1.0" in out
+
+    def test_single_worker_ratio_near_one(self, capsys):
+        # Euler fine at the speedup substep, so loop overhead stays small
+        # next to the slab's work.
+        code = main(["speedup", "--kmax", "1", "--T", "2", "--fine", "euler",
+                     "--workers", "1"])
+        assert code == 0
+        (line,) = [
+            l for l in capsys.readouterr().out.splitlines()
+            if l.startswith("workers=1")
+        ]
+        ratio = float(line.rsplit("measured ratio ", 1)[1])
+        assert 0.3 <= ratio <= 1.1
+
     def test_zero_iterations_undefined(self, capsys):
         code = main(["speedup", "--kmax", "0", "--fine", "exact",
                      "--workers", "1"])

@@ -306,11 +306,11 @@ def _blown_up_reference(prop, u0, n):
     raise NonFiniteStateError("non-finite state in the reference")
 
 
-def _euler_config(system, u0, variant, **kw):
-    # N = 10 and K = 2 with Euler fine and coarse, substep 1e-3.
+def _euler_config(system, u0, variant, macro_kind="euler", **kw):
+    # N = 10 and K = 2 with Euler fine (substep 1e-3) and, by default, coarse.
     return PararealConfig(
         system=system, t_final=1.0, dt=0.1, n_iterations=2, variant=variant,
-        u0=np.array(u0), micro_kind="euler", macro_kind="euler", substep=1e-3,
+        u0=np.array(u0), micro_kind="euler", macro_kind=macro_kind, substep=1e-3,
         **kw,
     )
 
@@ -345,12 +345,27 @@ class TestReferenceInPool:
             for name in ("u", "x", "reference"):
                 assert np.array_equal(getattr(pooled, name), getattr(alone, name))
 
+    @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("make_config", REFERENCE_CASES)
-    def test_reference_failure_raises(self, make_config, monkeypatch):
+    def test_reference_failure_raises(self, make_config, workers, monkeypatch):
         monkeypatch.setattr(engine, "_member_reference", _blown_up_reference)
         with pytest.raises(NonFiniteStateError, match="in the reference"):
-            run(make_config(), workers=2)
+            run(make_config(), workers=workers)
         assert multiprocessing.active_children() == []
+
+    def test_failed_iterations_skip_the_in_process_reference(self, monkeypatch):
+        # Without a pool the reference is stepped after the last iteration,
+        # so a run that fails in iteration 0 never steps it.
+        calls = []
+        monkeypatch.setattr(
+            engine, "_member_reference", lambda *args: calls.append(args)
+        )
+        config = _euler_config(
+            builtin_quadratic(1.0, 1e-3), [-2.0, 4.0], AlgorithmVariant.LIFTING
+        )
+        with pytest.raises(NonFiniteStateError, match="iteration 0"):
+            run(config, workers=1)
+        assert calls == []
 
 
 GRID_CASES = [
@@ -376,22 +391,34 @@ GRID_CASES = [
 
 
 class TestBlowUpContext:
-    @pytest.mark.parametrize(
-        "workers, where",
-        [(1, "in the reference"), (2, "iteration 0, stage 2a (fine)")],
-    )
-    def test_blow_up_names_where_it_happened(self, workers, where):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blow_up_names_where_it_happened(self, workers):
         # From u0 = (-2, 4) the quadratic's slow model blows up at t = ln 2.
-        # At 1 worker the reference is stepped first and overflows; with a
-        # pool it runs beside the iterations, and iteration 0's fine stage
-        # overflows before the reference is gathered.
+        # Iteration 0's fine stage overflows before the reference is stepped
+        # (1 worker) or gathered (2 workers).
         config = _euler_config(
             builtin_quadratic(1.0, 1e-3), [-2.0, 4.0], AlgorithmVariant.LIFTING
         )
         with pytest.raises(NonFiniteStateError) as info:
             run(config, workers=workers)
         assert str(info.value) == (
-            f"non-finite state in Euler micro step; {where}, dt=0.1"
+            "non-finite state in Euler micro step; iteration 0, stage 2a (fine), "
+            "dt=0.1"
+        )
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("coarse, name", [("euler", "Euler"), ("rk4", "RK4")])
+    def test_init_sweep_blow_up_is_named(self, coarse, name, workers):
+        # From u0 = (-20, 400) the coarse sweep of row 0 overflows.
+        config = _euler_config(
+            builtin_quadratic(1.0, 1e-3), [-20.0, 400.0], AlgorithmVariant.LIFTING,
+            macro_kind=coarse,
+        )
+        with pytest.raises(NonFiniteStateError) as info:
+            run(config, workers=workers)
+        assert str(info.value) == (
+            f"non-finite state in {name} macro step; init sweep, dt=0.1"
         )
         assert multiprocessing.active_children() == []
 
