@@ -10,30 +10,35 @@ arrays, member e's state in slot e of axis -2, bitwise as member e's own
 propagator steps it. Only the micro propagators see epsilon; the macro
 steps act on the last axis, elementwise over the others.
 
+The nonlinear Euler micro step and the Euler and RK4 macro steps share one
+component contract. Each is a step written over the tuple v of a state's
+components (the d of u, or the s slow ones of X) that maps v to the
+components it ends at and never writes v. _step_components runs it on the
+Python floats of one state, of shape (d,), (1, d) or (1, 1, d), and
+otherwise on the columns x[..., i] of a row or grid. Floats, because a few
+float operations cost less than one numpy call on a state of a few
+components; columns, because numpy's per-call cost is then paid once for
+the whole row. Every step's operations are those of numpy's array
+recurrence, in their order (u + h * micro_rhs(u), x + dt * macro_rhs(x)),
+so a row's endpoints are bitwise those of its states stepped one by one.
+On floats x / 0.0 and an overflowing ** raise where numpy gives inf, and
+_step_components reports them as NonFiniteStateError.
+
 * exact-linear micro: u -> exp(B dt) u with the exponential cached at
   construction (the iteration applies it N*K times); one np.matmul steps a
   row, bitwise equal to phi @ u on each of its states. On a grid the
   members' exponentials are stacked to (E, d, d);
 * forward-euler micro: dt/substep explicit Euler substeps of the full
-  right-hand side; blow-up raises NonFiniteStateError instead of silently
-  propagating NaN, and a substep past explicit Euler's stability limit is
+  right-hand side; a substep past explicit Euler's stability limit is
   rejected at construction, for every member of a grid before any step. A
-  nonlinear system is stepped by a pair of loops on its d components, in
-  which a substep computes the d derivatives and then makes d updates
-  ui = ui + h * dui: a float loop on the Python floats of one state, and
-  a column loop that steps in place a C-contiguous copy of a row's
-  (d, ...) stack of component columns, np.moveaxis(u, -1, 0); on a grid
-  epsilon is the (E,) vector of the members, broadcast against the
-  (..., E) columns. Floats, because a few float operations cost less than
-  one numpy call on a state of d components; columns, because numpy's
-  per-call cost is then paid once per substep for the whole row. The
-  built-in systems have their pair written by hand (systems.EULER_LOOPS),
-  computing the rhs inline, without the call. Any other rhs is called,
-  micro_rhs(v, epsilon) on the tuple v of components, once per substep,
-  by one plain loop on floats and columns alike (_called_loop). All give
-  the same IEEE-754 double arithmetic, elementwise, as numpy's array
-  recurrence u + h * micro_rhs(u), so a row's endpoints are bitwise those
-  of its states stepped one by one.
+  nonlinear system is stepped by a pair of component loops, in which a
+  substep computes the d derivatives and then makes d updates
+  ui = ui + h * dui: a float loop, and a column loop; on a grid of E > 1
+  members epsilon is their (E,) vector, broadcast against the (..., E)
+  columns. The built-in systems have their pair written by hand
+  (systems.EULER_LOOPS), computing the rhs inline, without the call. Any
+  other rhs is called, micro_rhs(v, epsilon), once per substep, by one
+  plain loop on floats and columns alike (_called_loop).
   A linear system keeps the array loop, one interval at a
   time, in two buffers: a copy u of the state and a derivative t. Its rhs
   has the contract rhs(u, out), writing B u into out with no temporary:
@@ -46,15 +51,6 @@ steps act on the last axis, elementwise over the others.
 * rk4 macro: classical Runge-Kutta 4 substeps of the slow model, at most
   DEFAULT_MACRO_SUBSTEP long, so the coarse step resolves the macro model
   (linear or nonlinear) and its error is the modeling error alone.
-  The Euler and RK4 macro steps each have one step body, written over the
-  tuple of the s slow components that macro_rhs takes and returns (see
-  NonlinearFastSlowSystem): Python floats for one state, (s,) or a
-  one-member grid's (1, s), taken with x.ravel().tolist(), and columns for
-  a row or grid, the x[..., i] of np.moveaxis(x, -1, 0). Its operations
-  are those of numpy's array recurrence, in their order (x + dt * rhs(x)
-  for Euler), so the endpoints are bitwise the same. Floats, because the
-  sequential coarse sweeps step one state at a time, and a few float
-  operations cost less than one numpy call on a state of s components.
 
 Every step but the exact-linear macro one checks its endpoint, once per
 call, with math.isfinite over its floats (u.ravel().tolist() of an array),
@@ -150,52 +146,52 @@ def _euler_array_substeps(
 def _called_loop(rhs, h, n_sub, v, epsilon):
     # The Euler loop that calls rhs, on the d components v of a state,
     # floats or columns: each substep makes every update ui = ui + h * dui
-    # once rhs has returned every dui. v is only read, so the column loop
-    # passes its stack; hs gives each substep's map as many h as it takes.
+    # once rhs has returned every dui. hs gives each substep's map as many
+    # h as it takes.
     hs = repeat(h)
-    v = tuple(v)
     for _ in range(n_sub):
         v = tuple(map(add, v, map(mul, hs, rhs(v, epsilon))))
     return v
-
-
-def _called_columns(rhs, h, n_sub, u, epsilon):
-    # The column loop of a called rhs, writing its endpoint back into the
-    # (d, ...) stack u it owns.
-    u[...] = _called_loop(rhs, h, n_sub, u, epsilon)
 
 
 def _loop_for(rhs):
     """The Euler loops for rhs, a pair (float_loop, column_loop), and the
     arguments they take before h. A built-in rhs, or a partial of one with
     positional bound arguments, takes its pair of EULER_LOOPS and the bound
-    arguments; any other callable is called, by (_called_loop,
-    _called_columns)."""
+    arguments; any other callable is called, by _called_loop on floats and
+    on columns alike."""
     func, bound = rhs, ()
     if type(rhs) is partial and not rhs.keywords:
         func, bound = rhs.func, rhs.args
     # A user's callable class may define __eq__ and so have no hash.
     if isinstance(func, Hashable) and func in EULER_LOOPS:
         return EULER_LOOPS[func], bound
-    return (_called_loop, _called_columns), (rhs,)
+    return (_called_loop, _called_loop), (rhs,)
 
 
-def _euler_float_substeps(
-    rhs, h: float, n_sub: int, u: np.ndarray, epsilon: float | np.ndarray
-) -> np.ndarray:
-    # The operations of the array loop u + h * rhs(u), in its order, on the
-    # d components: Python floats for one state, columns for a row (an (E,)
-    # epsilon broadcasts against the (..., E) columns of a grid). Overflow
-    # gives inf (not an exception), which the endpoint check catches.
-    (loop, column_loop), args = _loop_for(rhs)
+def _step_components(step, column_step, x: np.ndarray, context: str) -> np.ndarray:
+    """x stepped over the tuple of its components (see the module
+    docstring): by step on the Python floats of one state, by column_step
+    on the columns x[..., i] of more."""
+    # A blow-up runs on to inf/NaN, and a non-finite substep leaves a
+    # non-finite endpoint. Python float arithmetic never warns, so only the
+    # columns need np.errstate.
+    if x.size == x.shape[-1]:
+        try:
+            v = step(tuple(x.ravel().tolist()))
+        except (ZeroDivisionError, OverflowError) as err:
+            raise NonFiniteStateError(f"non-finite state in {context}") from err
+        if not all(map(math.isfinite, v)):
+            raise NonFiniteStateError(f"non-finite state in {context}")
+        return np.array(v).reshape(x.shape)
+    # The columns x[..., i] are those of np.moveaxis(x, -1, 0), taken
+    # without the moved view.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        if u.ndim == 1:
-            return np.array(loop(*args, h, n_sub, u.tolist(), epsilon))
-        # A copy, always: the engine passes views of its lattice rows, and
-        # the moved axes of a 1-row slab are already C-contiguous.
-        v = np.array(np.moveaxis(u, -1, 0), dtype=float, order="C")
-        column_loop(*args, h, n_sub, v, epsilon)
-    return np.ascontiguousarray(np.moveaxis(v, 0, -1))
+        v = column_step(tuple([x[..., i] for i in range(x.shape[-1])]))
+    out = np.empty(x.shape)
+    for i, vi in enumerate(v):
+        out[..., i] = vi
+    return _require_finite(out, context)
 
 
 class ExactLinearMicro:
@@ -250,24 +246,32 @@ class EulerMicro:
                 partial(_matvec_into, _stacked(lambda m: m.b_matrix(), system))
                 if grid else system.b_matrix().dot
             )
-            self._substeps = partial(_euler_array_substeps, state_ndim=1 + grid)
+            self.epsilon, self._state_ndim = None, 1 + grid
         else:
             self.rhs = members[0].micro_rhs
-            epsilon = _stacked(lambda m: m.epsilon, system)
-            self._substeps = partial(_euler_float_substeps, epsilon=epsilon)
+            # A one-member grid's state is one state, stepped on floats,
+            # so it keeps its member's float epsilon.
+            self.epsilon = (
+                _stacked(lambda m: m.epsilon, system)
+                if len(members) > 1 else members[0].epsilon
+            )
 
     def step(self, u: np.ndarray) -> np.ndarray:
         # self.rhs is read here, not bound at construction, so a wrapper
         # installed on the instance is called, by _called_loop, and sees
-        # every substep. On floats, where numpy gives inf, Python raises
-        # (u0 / 0.0, an overflowing **).
-        try:
-            u = self._substeps(self.rhs, self.h, self.n_sub, u)
-        except (ZeroDivisionError, OverflowError) as err:
-            raise NonFiniteStateError("non-finite state in Euler micro step") from err
-        # Non-finite values cannot cancel back to finite ones under +/*,
-        # so checking the endpoint catches any blown-up substep.
-        return _require_finite(u, "Euler micro step")
+        # every substep.
+        h, n_sub, epsilon = self.h, self.n_sub, self.epsilon
+        if epsilon is None:
+            u = _euler_array_substeps(self.rhs, h, n_sub, u, self._state_ndim)
+            # Non-finite values cannot cancel back to finite ones under +/*,
+            # so checking the endpoint catches any blown-up substep.
+            return _require_finite(u, "Euler micro step")
+        (loop, column_loop), args = _loop_for(self.rhs)
+        return _step_components(
+            lambda v: loop(*args, h, n_sub, v, epsilon),
+            lambda v: column_loop(*args, h, n_sub, v, epsilon),
+            u, "Euler micro step",
+        )
 
 
 class ExactLinearMacro:
@@ -279,32 +283,6 @@ class ExactLinearMacro:
 
     def step(self, x: np.ndarray) -> np.ndarray:
         return self.rho * x
-
-
-def _step_components(advance, x: np.ndarray, context: str) -> np.ndarray:
-    """x stepped by advance(v), a step written over the tuple v of the s
-    components of a slow state: Python floats for one state, of shape (s,)
-    or (1, s) as in a one-member grid's sweep, columns for more states."""
-    # As for the micro steps: a blow-up runs on to inf/NaN, and a non-finite
-    # substep leaves a non-finite endpoint. Python float arithmetic never
-    # warns, so only the columns need np.errstate; where numpy gives inf,
-    # it raises instead (x / 0.0, an overflowing **).
-    if x.size == x.shape[-1]:
-        try:
-            v = advance(tuple(x.ravel().tolist()))
-        except (ZeroDivisionError, OverflowError) as err:
-            raise NonFiniteStateError(f"non-finite state in {context}") from err
-        if not all(map(math.isfinite, v)):
-            raise NonFiniteStateError(f"non-finite state in {context}")
-        return np.array(v).reshape(x.shape)
-    # The columns x[..., i] are those of np.moveaxis(x, -1, 0), taken
-    # without the moved view.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        v = advance(tuple([x[..., i] for i in range(x.shape[-1])]))
-    out = np.empty(x.shape)
-    for i, vi in enumerate(v):
-        out[..., i] = vi
-    return _require_finite(out, context)
 
 
 class EulerMacro:
@@ -319,7 +297,7 @@ class EulerMacro:
         return tuple(map(lambda xi, dxi: xi + dt * dxi, x, self.rhs(x)))
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        return _step_components(self._advance, x, "Euler macro step")
+        return _step_components(self._advance, self._advance, x, "Euler macro step")
 
 
 class RK4Macro:
@@ -359,7 +337,7 @@ class RK4Macro:
         return x
 
     def step(self, x: np.ndarray) -> np.ndarray:
-        return _step_components(self._advance, x, "RK4 macro step")
+        return _step_components(self._advance, self._advance, x, "RK4 macro step")
 
 
 def make_micro(system, dt: float, kind: str = "exact", substep=None):

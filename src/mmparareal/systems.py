@@ -250,7 +250,8 @@ def _quadratic_euler_loop(lam, h, n_sub, v, epsilon):
     return x, y
 
 
-def _quadratic_euler_columns(lam, h, n_sub, u, epsilon):
+def _quadratic_euler_columns(lam, h, n_sub, v, epsilon):
+    u = np.array(v, dtype=float)
     x, y = u
     du = np.empty_like(u)
     du0, du1 = du
@@ -263,6 +264,7 @@ def _quadratic_euler_columns(lam, h, n_sub, u, epsilon):
         divide(du1, epsilon, du1)
         multiply(h, du, du)
         add(u, du, u)
+    return u
 
 
 def _quadratic_macro_rhs(lam: float, x: Sequence[float]) -> tuple[float]:
@@ -323,7 +325,8 @@ def _brusselator_euler_loop(h, n_sub, v, epsilon):
     return x1, x2, y
 
 
-def _brusselator_euler_columns(h, n_sub, u, epsilon):
+def _brusselator_euler_columns(h, n_sub, v, epsilon):
+    u = np.array(v, dtype=float)
     x1, x2, y = u
     du = np.empty_like(u)
     du0, du1, du2 = du
@@ -343,6 +346,7 @@ def _brusselator_euler_columns(h, n_sub, u, epsilon):
         subtract(du2, yx1, du2)
         multiply(h, du, du)
         add(u, du, u)
+    return u
 
 
 def _brusselator_macro_rhs(x: Sequence[float]) -> tuple[float, float]:
@@ -372,11 +376,12 @@ def builtin_brusselator(epsilon: float) -> NonlinearFastSlowSystem:
 
 
 # The Euler loops of each built-in micro rhs, a pair (float_loop,
-# column_loop); bound are the arguments a partial of the rhs binds.
-# float_loop(*bound, h, n_sub, v, epsilon) makes n_sub substeps from the d
-# Python floats v of one state and returns the d floats it ends at.
-# column_loop(*bound, h, n_sub, u, epsilon) steps in place a C-contiguous
-# (d, ...) stack u of component columns, which it owns: each substep writes
+# column_loop); bound are the arguments a partial of the rhs binds. Each
+# loop(*bound, h, n_sub, v, epsilon) makes n_sub substeps from the tuple v
+# of a state's d components and returns the d components it ends at,
+# without writing v. float_loop steps the Python floats of one state.
+# column_loop copies the columns it is given into the C-contiguous (d, ...)
+# stack u it owns, steps u in place and returns it: each substep writes
 # every derivative row of one stack du with out= ufunc calls, then makes
 # all d updates with one multiply(h, du, du) and one add(u, du, u), with no
 # allocation. Both compute every derivative, term by term in the rhs's own

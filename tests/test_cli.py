@@ -316,6 +316,30 @@ class TestEmitTables:
         assert ",5e-324" in text and ",-inf" in text
 
 
+class TestPackageEntryPoint:
+    """`python -m mmparareal`, the package's __main__, as CI and the
+    README run it: a fresh interpreter, its stdout and its exit code."""
+
+    def _run(self, *argv):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        return subprocess.run(
+            [sys.executable, "-m", "mmparareal", "sweep-k", *argv,
+             "--workers", "1"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+
+    def test_sweep_exits_0_with_the_csv_header(self):
+        proc = self._run("--epsilons", "1e-3", "--T", "1", "--kmax", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[0] == CSV_HEADER
+
+    def test_config_error_exits_1(self):
+        proc = self._run("--kmax", "-1")
+        assert proc.returncode == 1
+        assert "error: kmax must be >= 0" in proc.stderr
+
+
 class TestValidationErrors:
     def test_unknown_algorithm(self, capsys):
         assert main(["sweep-epsilon", "--algorithm", "5"]) == 1

@@ -16,7 +16,6 @@ from mmparareal.propagators import (
     ExactLinearMacro,
     NonFiniteStateError,
     RK4Macro,
-    _called_columns,
     _called_loop,
     _loop_for,
     _require_finite,
@@ -759,7 +758,7 @@ class _CountingPartial(partial):
 
 
 # The Euler loops of any rhs not in systems.EULER_LOOPS.
-CALLED = (_called_loop, _called_columns)
+CALLED = (_called_loop, _called_loop)
 # A system of each rhs in systems.EULER_LOOPS, so that the tests below run
 # on every registered loop; a loop registered without one fails them.
 BUILDERS = {
@@ -783,7 +782,7 @@ STATE_SHAPES = pytest.mark.parametrize(
 
 def _shaped_states(system, shape, grid, seed=13):
     first = system[0] if grid else system
-    shape = (*shape, len(GRID_EPS)) if grid else shape
+    shape = (*shape, len(system)) if grid else shape
     states = _seeded_states(first, math.prod(shape), seed)
     return states.reshape(*shape, first.dim)
 
@@ -811,30 +810,37 @@ class TestRegisteredLoops:
 
     @REGISTERED
     @pytest.mark.parametrize(
-        "shape, grid",
-        [((7,), False), ((5,), True), ((1,), False), ((0,), False)],
-        ids=["row", "grid-row", "1-row", "0-row"],
+        "shape, members",
+        [((7,), None), ((5,), GRID_EPS), ((1,), None), ((0,), None),
+         ((), GRID_EPS[:1]), ((1,), GRID_EPS[:1])],
+        ids=["row", "grid-row", "1-row", "0-row", "one-member-state",
+             "one-member-slab"],
     )
     def test_column_loop_is_bitwise_the_float_loop(
-        self, func, shape, grid, monkeypatch
+        self, func, shape, members, monkeypatch
     ):
         # A row or grid row is stepped by one call of the column loop, on
-        # its (d, ...) stack of columns; each state ends bitwise where the
-        # float loop takes it alone, a grid slot with its member's epsilon.
+        # its tuple of d columns; each state ends bitwise where the float
+        # loop takes it alone, a grid slot with its member's epsilon. One
+        # state, as a 1-row slab or a one-member grid's (1, d) state or
+        # (1, 1, d) slab, is stepped on the float loop, never the column one.
         float_loop, column_loop = systems.EULER_LOOPS[func]
         stacks = []
 
         def spy(*args):
-            stacks.append(args[-2].shape)
-            column_loop(*args)
+            stacks.append(np.shape(args[-2]))
+            return column_loop(*args)
 
         monkeypatch.setitem(systems.EULER_LOOPS, func, (float_loop, spy))
-        system = _system(BUILDERS[func], grid)
+        grid = members is not None
+        build = BUILDERS[func]
+        system = tuple(build(e) for e in members) if grid else build(1e-3)
         prop = EulerMicro(system, 0.1, 1e-4)
         states = _shaped_states(system, shape, grid)
         bound = _loop_for(prop.rhs)[1]
         got = prop.step(states)
-        assert stacks == [(states.shape[-1], *states.shape[:-1])]
+        one_state = math.prod(states.shape[:-1]) == 1
+        assert stacks == ([] if one_state else [(states.shape[-1], *states.shape[:-1])])
         assert got.shape == states.shape and got.flags.c_contiguous
         for index in np.ndindex(states.shape[:-1]):
             member = system[index[-1]] if grid else system
@@ -842,6 +848,9 @@ class TestRegisteredLoops:
                 *bound, prop.h, prop.n_sub, states[index].tolist(), member.epsilon
             )
             assert got[index].tobytes() == np.array(want).tobytes()
+        if grid and len(system) == 1:
+            plain = EulerMicro(system[0], 0.1, 1e-4).step(states.reshape(-1))
+            assert got.tobytes() == plain.tobytes()
 
     @REGISTERED
     @pytest.mark.parametrize(
