@@ -235,10 +235,12 @@ def _emit_tables(tables, all_times: bool) -> str:
     """The CSV text: the header, then one row per (table, k, n).
 
     Each table's cells are formatted through their bit patterns: `repr` runs
-    once per distinct pattern and the rows are joined from the gathered
-    strings. Bit patterns, not values, keep -0.0 apart from 0.0 and every
-    NaN apart from the others, so each cell reads as its own `repr`. The
-    work stays per table, so only one table's patterns are held at a time.
+    once per distinct pattern, into a 1-D object array, and one take by the
+    inverse indices, reshaped to (4, rows), gathers the four error columns;
+    the rows are joined from those strings. Bit patterns, not values, keep
+    -0.0 apart from 0.0 and every NaN apart from the others, so each cell
+    reads as its own `repr`. The work stays per table, so only one table's
+    patterns are held at a time.
     """
     blocks = [CSV_HEADER]
     prefixes = {}
@@ -256,9 +258,11 @@ def _emit_tables(tables, all_times: bool) -> str:
         if shape not in prefixes:
             prefixes[shape] = [f"{k},{n}" for k in range(len(errors)) for n in ns]
         bits, inverse = np.unique(errors.view(np.uint64).ravel(), return_inverse=True)
-        text = list(map(repr, bits.view(np.float64).tolist()))
-        cells = list(map(text.__getitem__, inverse.tolist()))
-        rows = zip(repeat(lead), prefixes[shape], *(cells[j::4] for j in range(4)))
+        text = np.array(
+            list(map(repr, bits.view(np.float64).tolist())), dtype=object
+        )
+        columns = text[inverse.reshape(-1, 4).T].tolist()
+        rows = zip(repeat(lead), prefixes[shape], *columns)
         blocks.append("\n".join(map(",".join, rows)))
     return "\n".join(blocks) + "\n"
 

@@ -53,10 +53,13 @@ _step_components reports them as NonFiniteStateError.
   (linear or nonlinear) and its error is the modeling error alone.
 
 Every step but the exact-linear macro one checks its endpoint, once per
-call, with math.isfinite over its floats (u.ravel().tolist() of an array),
-a fraction of the cost of np.all(np.isfinite(u)) on a state of a few
-components. Overflow inside a step runs on silently, so NonFiniteStateError
-is the only signal of a blow-up.
+call. One state, by _step_components' own predicate (u.size ==
+u.shape[-1]), is checked with math.isfinite over its floats
+(u.ravel().tolist()), a fraction of the cost of one numpy call on a few
+components; anything holding more states (a row, a grid state, a grid row)
+with one np.isfinite(u).all(), so a row costs one numpy call and no list
+of its floats. Overflow inside a step runs on silently, so
+NonFiniteStateError is the only signal of a blow-up.
 
 Propagators are immutable after construction, cheap to pickle, and their
 step functions are pure, so they can be fanned out across worker processes.
@@ -99,7 +102,11 @@ class NonFiniteStateError(Exception):
 
 
 def _require_finite(u: np.ndarray, context: str) -> np.ndarray:
-    if not all(map(math.isfinite, u.ravel().tolist())):
+    if u.size == u.shape[-1]:
+        finite = all(map(math.isfinite, u.ravel().tolist()))
+    else:
+        finite = np.isfinite(u).all()
+    if not finite:
         raise NonFiniteStateError(f"non-finite state in {context}")
     return u
 

@@ -308,7 +308,9 @@ class TestEmitTables:
         second = _crafted_table(1e-2, [np.roll(values[:, :, j], j) for j in range(4)])
         third = _crafted_table(1e-1, [np.zeros((2, 3)), np.full((2, 3), -0.0),
                                       np.full((2, 3), np.nan), values[:2, :, 0]])
-        tables = [first, second, third]
+        # A one-row table (K = 0, N = 1): the take on one row of cells.
+        fourth = _crafted_table(1.0, [values[:1, :2, j].copy() for j in range(4)])
+        tables = [first, second, third, fourth]
         for all_times in (False, True):
             text = cli._emit_tables(tables, all_times)
             assert text == _emit_tables_rowwise(tables, all_times)

@@ -579,10 +579,18 @@ class TestMacroComponentSteps:
 # Steps that check their endpoint, each with a finite state it accepts.
 CHECKED_STEPS = [
     (make_micro(builtin_toy(1e-2), 0.1, kind="exact"), [1.0, 0.2, -0.1]),
+    # The linear array loop and a registered pair of component loops.
+    (make_micro(builtin_toy(1e-2), 0.1, kind="euler", substep=1e-3),
+     [1.0, 0.2, -0.1]),
+    (make_micro(builtin_brusselator(1e-2), 0.1, kind="euler", substep=1e-3),
+     [1.0, 2.0, 3.0]),
     (make_macro(builtin_brusselator(1e-2), 0.1, kind="euler"), [1.0, 2.0]),
     (make_macro(builtin_brusselator(1e-2), 0.1, kind="rk4"), [1.0, 2.0]),
 ]
-CHECKED_IDS = ["exact-micro", "euler-macro", "rk4-macro"]
+CHECKED_IDS = [
+    "exact-micro", "euler-micro-linear", "euler-micro-columns", "euler-macro",
+    "rk4-macro",
+]
 NONFINITE = pytest.mark.parametrize(
     "value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
 )
@@ -611,9 +619,22 @@ class TestFinitenessCheck:
             with pytest.raises(NonFiniteStateError):
                 prop.step(rows)
 
-    @pytest.mark.parametrize("shape", [(3,), (2, 3)])
+    # One state, checked on its floats, and a row, a grid state and a grid
+    # row, each checked by one np.isfinite.
+    CHECKED_SHAPES = [(3,), (1, 3), (1, 1, 3), (2, 3), (4, 3), (2, 4, 3)]
+
+    @NONFINITE
+    @pytest.mark.parametrize("shape", CHECKED_SHAPES)
+    def test_nonfinite_value_anywhere_raises(self, shape, value):
+        for i in range(math.prod(shape)):
+            u = np.arange(1.0, math.prod(shape) + 1.0)
+            u[i] = value
+            with pytest.raises(NonFiniteStateError, match="in the test context"):
+                _require_finite(u.reshape(shape), "the test context")
+
+    @pytest.mark.parametrize("shape", CHECKED_SHAPES)
     def test_finite_state_passes_through(self, shape):
-        u = np.arange(6.0)[: math.prod(shape)].reshape(shape)
+        u = np.arange(24.0)[: math.prod(shape)].reshape(shape)
         assert _require_finite(u, "test") is u
 
 
