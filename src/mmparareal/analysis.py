@@ -19,9 +19,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import engine, linalg
-from .engine import AlgorithmVariant, PararealConfig, PararealRun
+from .engine import PararealConfig, PararealRun
 from .propagators import _matvec, make_micro, micro_reference_trajectory
-from .systems import LinearFastSlowSystem, builtin_toy
+from .systems import LinearFastSlowSystem
 
 # Relative errors below this are treated as machine-precision noise.
 DEFAULT_FLOOR = 1e-12
@@ -168,17 +168,6 @@ def experiment_table(
     return compute_errors(engine.run(config, workers=workers), system_id=system_id)
 
 
-def _check_layer_separation(system, dt: float):
-    """The rate statements assume the coupling step clears the fast layer."""
-    if isinstance(system, LinearFastSlowSystem):
-        t_bl = system.boundary_layer_time()
-        if not (dt > t_bl):
-            raise ValueError(
-                f"dt = {dt:g} does not exceed the boundary layer "
-                f"{t_bl:g} at epsilon = {system.epsilon:g}"
-            )
-
-
 def grid_tables(
     config: PararealConfig, system_id: str = "", workers: int = 1, pool=None
 ) -> list:
@@ -189,70 +178,6 @@ def grid_tables(
         compute_errors(run, system_id, member=i)
         for i in range(len(config.members))
     ]
-
-
-def epsilon_order(
-    variant,
-    coarse: str,
-    k: int,
-    eps_values,
-    dt: float = 0.1,
-    t_final: float = 10.0,
-    which: str = "macro",
-    fine: str = "exact",
-    substep: Optional[float] = None,
-    system_builder: Callable[[float], object] = builtin_toy,
-    u0=None,
-    floor: float = DEFAULT_FLOOR,
-) -> SlopeFit:
-    """Slope of the final-time relative error at iteration k versus epsilon.
-
-    The epsilon values are one grid run whose members are
-    dataclasses.replace(system_builder(eps_values[0]), epsilon=e), so the
-    builder's systems may differ only in epsilon.
-    """
-    eps_values = np.asarray(eps_values, dtype=float)
-    if eps_values.size < 2:
-        raise TooFewPointsError(f"{eps_values.size} epsilon value(s), a slope needs 2")
-    config = PararealConfig(
-        system=system_builder(eps_values[0]), t_final=t_final, dt=dt,
-        n_iterations=k, variant=variant, u0=TOY_U0 if u0 is None else u0,
-        micro_kind=fine, macro_kind=coarse, substep=substep, epsilons=eps_values,
-    )
-    for member in config.members:
-        _check_layer_separation(member, dt)
-    errors = [t.final_relative(k, which) for t in grid_tables(config)]
-    return fit_slope(eps_values, errors, floor=floor)
-
-
-def dt_order(
-    k: int,
-    dt_values,
-    epsilon: float = 1e-5,
-    variant=AlgorithmVariant.MATCHING,
-    coarse: str = "exact",
-    fine: str = "exact",
-    t_final: float = 10.0,
-    which: str = "macro",
-    substep: Optional[float] = None,
-    system_builder: Callable[[float], object] = builtin_toy,
-    u0=None,
-    floor: float = DEFAULT_FLOOR,
-) -> SlopeFit:
-    """Slope of the final-time error at iteration k versus 1/dt at fixed
-    epsilon (positive for errors shrinking with dt); one run per dt, as N
-    changes with dt."""
-    dt_values = np.asarray(dt_values, dtype=float)
-    system = system_builder(epsilon)
-    errors = []
-    for dt in dt_values:
-        _check_layer_separation(system, dt)
-        table = experiment_table(
-            system, "", variant, coarse, fine, dt=dt, t_final=t_final,
-            kmax=k, u0=TOY_U0 if u0 is None else u0, substep=substep,
-        )
-        errors.append(table.final_relative(k, which))
-    return fit_slope(1.0 / dt_values, errors, floor=floor)
 
 
 # Closeness-bound trajectories are sampled on LEMMA_N_GRID uniform intervals

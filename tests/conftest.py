@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Every @given test draws the same examples on every machine and run.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def rk4_matrix(b: np.ndarray, t: float, n_steps: int) -> np.ndarray:

@@ -3,16 +3,15 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mmparareal import engine, linalg
+from mmparareal import linalg
 from mmparareal.analysis import (
     TOY_U0,
     TooFewPointsError,
     compute_errors,
-    dt_order,
-    epsilon_order,
     experiment_table,
     fit_slope,
     format_ideal_speedup,
+    grid_tables,
     lemma_diagnostics,
     sharpness_witness,
 )
@@ -137,124 +136,87 @@ class TestExperimentTable:
         assert all(b < a for a, b in zip(finals, finals[1:]))
 
 
+# Each case: (system builder, epsilon grid, experiment_table arguments).
+GRID_CASES = {
+    "toy-exact": (
+        builtin_toy, [1e-3, 1e-4, 1e-2],
+        dict(coarse="exact", fine="exact", dt=0.1, t_final=10.0, kmax=3,
+             u0=TOY_U0),
+    ),
+    "quadratic-euler-rk4": (
+        partial(builtin_quadratic, 1.0), [1e-3, 3e-3, 1e-2],
+        dict(coarse="rk4", fine="euler", dt=0.1, t_final=1.0, kmax=2,
+             u0=[1.0, 0.0], substep=1e-4),
+    ),
+}
+
+
+def grid_run(case):
+    builder, epsilons, args = GRID_CASES[case]
+    return run(PararealConfig(
+        system=builder(1.0), t_final=args["t_final"], dt=args["dt"],
+        n_iterations=args["kmax"], variant=AlgorithmVariant.MATCHING,
+        u0=args["u0"], micro_kind=args["fine"], macro_kind=args["coarse"],
+        substep=args.get("substep"), epsilons=epsilons,
+    ))
+
+
 class TestGridErrors:
-    EPSILONS = [1e-3, 1e-4, 1e-2]
-
-    def grid_run(self):
-        return run(PararealConfig(
-            system=builtin_toy(1.0), t_final=10.0, dt=0.1, n_iterations=3,
-            variant=AlgorithmVariant.MATCHING, u0=TOY_U0, epsilons=self.EPSILONS,
-        ))
-
-    def test_member_tables_equal_experiment_table(self):
-        grid = self.grid_run()
-        for i, eps in enumerate(self.EPSILONS):
-            table = compute_errors(grid, "toy", member=i)
+    @pytest.mark.parametrize("case", GRID_CASES)
+    def test_member_tables_equal_experiment_table(self, case):
+        builder, epsilons, args = GRID_CASES[case]
+        grid = grid_run(case)
+        for i, eps in enumerate(epsilons):
+            table = compute_errors(grid, case, member=i)
             want = experiment_table(
-                builtin_toy(eps), "toy", AlgorithmVariant.MATCHING,
-                "exact", "exact", 0.1, 10.0, 3, TOY_U0,
+                builder(eps), case,
+                AlgorithmVariant.MATCHING, **args,
             )
             assert table.epsilon == eps
             for name in ("abs_macro", "abs_micro", "rel_macro", "rel_micro"):
-                assert np.array_equal(getattr(table, name), getattr(want, name))
+                assert getattr(table, name).tobytes() == getattr(want, name).tobytes()
+            assert table.macro_denominator == want.macro_denominator
             assert table.micro_denominator == want.micro_denominator
 
     def test_grid_run_needs_a_member_index(self):
         with pytest.raises(ValueError):
-            compute_errors(self.grid_run())
+            compute_errors(grid_run("toy-exact"))
 
 
-@pytest.fixture
-def engine_runs(monkeypatch):
-    """The configs of every engine.run call made while the test runs."""
-    configs = []
-    real_run = engine.run
+class TestEpsilonRate:
+    """A rate in epsilon fitted as the README gives it: fit_slope over the
+    final_relative values of one grid run's tables, with dt above every
+    member's boundary-layer time."""
 
-    def counting_run(config, *args, **kwargs):
-        configs.append(config)
-        return real_run(config, *args, **kwargs)
-
-    monkeypatch.setattr(engine, "run", counting_run)
-    return configs
-
-
-class TestEpsilonOrder:
-    GRID = [1e-5, 1e-4, 1e-3]
+    TOY_GRID = [1e-5, 1e-4, 1e-3]
 
     @pytest.mark.parametrize(
-        "args",
+        "variant, k, which",
         [
-            dict(variant=AlgorithmVariant.MATCHING, coarse="exact",
-                 fine="exact", k=2, which="micro", eps_values=GRID,
-                 t_final=10.0, substep=None, system_builder=builtin_toy,
-                 u0=TOY_U0),
-            dict(variant=AlgorithmVariant.MATCHING, coarse="rk4",
-                 fine="euler", k=2, which="macro", eps_values=[1e-3, 3e-3, 1e-2],
-                 t_final=1.0, substep=1e-4,
-                 system_builder=partial(builtin_quadratic, 1.0),
-                 u0=[1.0, 0.0]),
+            (AlgorithmVariant.LIFTING, 1, "macro"),
+            (AlgorithmVariant.MATCHING, 2, "micro"),
+            (AlgorithmVariant.DAE_COARSE, 1, "macro"),
         ],
-        ids=["toy-exact", "quadratic-euler-rk4"],
+        ids=["lifting-macro-k1", "matching-micro-k2", "dae-macro-k1"],
     )
-    def test_one_grid_run_gives_the_per_epsilon_errors(self, engine_runs, args):
-        fit = epsilon_order(**args)
-        assert len(engine_runs) == 1
-        want = [
-            experiment_table(
-                args["system_builder"](eps), "", args["variant"],
-                args["coarse"], args["fine"], dt=0.1, t_final=args["t_final"],
-                kmax=args["k"], u0=args["u0"], substep=args["substep"],
-            ).final_relative(args["k"], args["which"])
-            for eps in args["eps_values"]
-        ]
-        assert fit.xs.tolist() == args["eps_values"]
-        assert fit.ys.tobytes() == np.array(want).tobytes()
-
-    def test_lifting_macro_second_order(self):
-        fit = epsilon_order(AlgorithmVariant.LIFTING, "exact", 1, self.GRID)
-        assert fit.slope == pytest.approx(2.0, abs=0.3)
-
-    def test_matching_micro_second_order_at_k2(self):
-        fit = epsilon_order(
-            AlgorithmVariant.MATCHING, "exact", 2, self.GRID, which="micro"
+    def test_toy_exact_rate_is_second_order(self, variant, k, which):
+        config = PararealConfig(
+            system=builtin_toy(self.TOY_GRID[0]), t_final=10.0, dt=0.1,
+            n_iterations=k, variant=variant, u0=TOY_U0, epsilons=self.TOY_GRID,
         )
+        assert all(m.boundary_layer_time() < config.dt for m in config.members)
+        tables = grid_tables(config)
+        fit = fit_slope(self.TOY_GRID, [t.final_relative(k, which) for t in tables])
+        assert fit.n_points == len(self.TOY_GRID)
         assert fit.slope == pytest.approx(2.0, abs=0.3)
 
-    def test_dae_macro_second_order_at_k1(self):
-        fit = epsilon_order(AlgorithmVariant.DAE_COARSE, "exact", 1, self.GRID)
+    def test_quadratic_matching_micro_rate_at_k2(self):
+        _, epsilons, args = GRID_CASES["quadratic-euler-rk4"]
+        grid = grid_run("quadratic-euler-rk4")
+        tables = [compute_errors(grid, member=i) for i in range(len(epsilons))]
+        fit = fit_slope(epsilons, [t.final_relative(args["kmax"], "micro") for t in tables])
+        assert fit.n_points == len(epsilons)
         assert fit.slope == pytest.approx(2.0, abs=0.3)
-
-    def test_boundary_layer_precondition(self, engine_runs):
-        # t_layer(1e-2) = 0.276 > dt, so the rate statement does not apply,
-        # and no epsilon of the grid is run.
-        with pytest.raises(ValueError):
-            epsilon_order(AlgorithmVariant.LIFTING, "exact", 1, [1e-3, 1e-2])
-        assert engine_runs == []
-
-    @pytest.mark.parametrize("eps_values", [[], [1e-3]], ids=["empty", "single"])
-    def test_too_few_epsilons_rejected_before_any_build(self, eps_values):
-        def no_build(eps):
-            raise AssertionError("built a system for a grid with no slope")
-
-        with pytest.raises(TooFewPointsError):
-            epsilon_order(
-                AlgorithmVariant.LIFTING, "exact", 1, eps_values,
-                system_builder=no_build,
-            )
-
-
-class TestDtOrder:
-    def test_single_dt_grid_is_degenerate(self):
-        with pytest.raises(TooFewPointsError):
-            dt_order(1, [0.1])
-
-    def test_boundary_layer_precondition(self):
-        with pytest.raises(ValueError):
-            dt_order(1, [0.5, 0.25], epsilon=5e-2)
-
-    def test_fit_is_against_inverse_dt(self):
-        fit = dt_order(1, [0.2, 0.1, 0.05], epsilon=1e-4)
-        assert sorted(fit.xs.tolist()) == [5.0, 10.0, 20.0]
 
 
 def per_epsilon_lemma_ratios(system_builder, u0, eps_values):

@@ -603,6 +603,32 @@ class TestNumericalFailure:
             "iteration 0, stage 2c (corrected sweep), dt=0.2"
         ) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", [[], ["--workers", "1"]],
+                             ids=["default", "workers-1"])
+    def test_brusselator_sweep_dt_defaults_fail_at_dt_0_2(
+        self, capsys, monkeypatch, workers
+    ):
+        # The README's known failure, with every other flag at its default.
+        # Without a pool the run fails before its reference is stepped.
+        references = []
+        real_reference = engine._member_reference
+
+        def spy(*args):
+            references.append(args)
+            return real_reference(*args)
+
+        monkeypatch.setattr(engine, "_member_reference", spy)
+        assert main(["sweep-dt", "--system", "brusselator", *workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(
+            "numerical failure: NonFiniteStateError: non-finite state in Euler "
+            "macro step; iteration 0, stage 2c (corrected sweep), dt=0.2\n"
+        )
+        if workers:
+            assert references == []
+        assert multiprocessing.active_children() == []
+
     def test_coarse_blow_up_exits_2_without_warning(self, tmp_path):
         # From u0 = (-2, 4) the quadratic's Euler coarse orbit overflows in
         # the init sweep. Run in a fresh interpreter, whose stderr shows any

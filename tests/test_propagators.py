@@ -6,6 +6,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmparareal import systems
 from mmparareal.linalg import mat_exp
@@ -359,6 +361,66 @@ class TestStepLeavesInput:
         arg = lattice[1, 0] if shape == "state" else lattice[1]
         assert not np.array_equal(prop.step(arg), arg)
         assert lattice.tobytes() == before
+
+
+# A system whose micro_rhs no loop is registered for, so it is called.
+CALLED = NonlinearFastSlowSystem(
+    slow_dim=1,
+    fast_dim=1,
+    micro_rhs=lambda u, eps: (-u[0] + 0.5 * u[1], (u[0] * u[0] - u[1]) / eps),
+    macro_rhs=lambda x: (-x[0] + 0.5 * x[0] * x[0],),
+    lift_map=lambda x: np.concatenate([x, x * x], axis=-1),
+    epsilon=1e-3,
+)
+
+# Propagators of dt = 1e-3, Euler ones with 10 substeps, each with the
+# system its states come from and the grid shape of one state.
+PARTITIONED = {
+    "toy-exact": (make_micro(builtin_toy(1e-3), 1e-3), builtin_toy(1e-3), ()),
+    "toy-exact-grid": (
+        make_micro(tuple(builtin_toy(e) for e in GRID_EPS), 1e-3),
+        builtin_toy(1e-3), (len(GRID_EPS),),
+    ),
+    "toy-euler": (
+        make_micro(builtin_toy(1e-3), 1e-3, kind="euler", substep=1e-4),
+        builtin_toy(1e-3), (),
+    ),
+    "brusselator-euler": (
+        make_micro(builtin_brusselator(1e-3), 1e-3, kind="euler", substep=1e-4),
+        builtin_brusselator(1e-3), (),
+    ),
+    "called-euler": (
+        make_micro(CALLED, 1e-3, kind="euler", substep=1e-4), CALLED, (),
+    ),
+}
+
+
+@st.composite
+def split_rows(draw):
+    """A row length n and the bounds of a contiguous split of it, with
+    empty slabs and more slabs than rows allowed."""
+    n = draw(st.integers(1, 40))
+    # The slab count first, so that more slabs than rows is drawn often.
+    n_cuts = draw(st.integers(0, n + 3))
+    cuts = draw(st.lists(st.integers(0, n), min_size=n_cuts, max_size=n_cuts))
+    return n, [0, *sorted(cuts), n]
+
+
+class TestPartitionInvariance:
+    @pytest.mark.parametrize("kernel", list(PARTITIONED))
+    @settings(max_examples=50)
+    @given(split=split_rows(), seed=st.integers(0, 2**32 - 1))
+    def test_slabs_are_bitwise_the_row_and_its_states(self, kernel, split, seed):
+        prop, system, grid = PARTITIONED[kernel]
+        n, bounds = split
+        row = _seeded_states(system, n * math.prod(grid), seed)
+        row = row.reshape(n, *grid, system.dim)
+        slabs = np.concatenate(
+            [prop.step(row[a:b]) for a, b in zip(bounds, bounds[1:])]
+        )
+        assert slabs.shape == row.shape
+        assert slabs.tobytes() == prop.step(row).tobytes()
+        assert slabs.tobytes() == np.stack([prop.step(u) for u in row]).tobytes()
 
 
 class TestMacroPropagators:
