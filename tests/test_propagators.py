@@ -385,9 +385,35 @@ PARTITIONED = {
         make_micro(builtin_toy(1e-3), 1e-3, kind="euler", substep=1e-4),
         builtin_toy(1e-3), (),
     ),
+    "toy-euler-grid": (
+        make_micro(
+            tuple(builtin_toy(e) for e in GRID_EPS), 1e-3, kind="euler", substep=1e-4
+        ),
+        builtin_toy(1e-3), (len(GRID_EPS),),
+    ),
+    "quadratic-euler": (
+        make_micro(builtin_quadratic(1.0, 1e-3), 1e-3, kind="euler", substep=1e-4),
+        builtin_quadratic(1.0, 1e-3), (),
+    ),
+    # On a grid of more than one member, epsilon reaches the column loops
+    # as an (E,) vector.
+    "quadratic-euler-grid": (
+        make_micro(
+            tuple(builtin_quadratic(1.0, e) for e in GRID_EPS), 1e-3,
+            kind="euler", substep=1e-4,
+        ),
+        builtin_quadratic(1.0, 1e-3), (len(GRID_EPS),),
+    ),
     "brusselator-euler": (
         make_micro(builtin_brusselator(1e-3), 1e-3, kind="euler", substep=1e-4),
         builtin_brusselator(1e-3), (),
+    ),
+    "brusselator-euler-grid": (
+        make_micro(
+            tuple(builtin_brusselator(e) for e in GRID_EPS), 1e-3,
+            kind="euler", substep=1e-4,
+        ),
+        builtin_brusselator(1e-3), (len(GRID_EPS),),
     ),
     "called-euler": (
         make_micro(CALLED, 1e-3, kind="euler", substep=1e-4), CALLED, (),
