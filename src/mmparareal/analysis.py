@@ -122,6 +122,8 @@ def fit_slope(xs, ys, floor: float = DEFAULT_FLOOR) -> SlopeFit:
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.ndim != 1:
         raise ValueError("xs and ys must be 1-d arrays of equal length")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("xs and ys must be finite")
     if np.any(xs <= 0):
         raise ValueError("abscissas must be positive")
     keep = ys > floor

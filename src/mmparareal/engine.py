@@ -76,10 +76,6 @@ class AlgorithmVariant(IntEnum):
     DAE_COARSE = 3
 
 
-class InconsistentRowError(Exception):
-    """An iteration was requested from a row that is not populated yet."""
-
-
 @dataclass(eq=False)
 class PararealConfig:
     system: object
@@ -200,13 +196,12 @@ def init_sweep(config: PararealConfig) -> PararealRun:
     )
 
 
-def parareal_iteration(run: PararealRun, k: int, workers: int = 1, pool=None):
-    """Fill row k+1 from row k (steps 2a-2d above)."""
+def parareal_iteration(run: PararealRun, *, workers: int = 1, pool=None):
+    """Fill the run's next row k+1 from its last row k (steps 2a-2d above)."""
     config = run.config
-    if k >= run.rows_filled:
-        raise InconsistentRowError(f"row {k} is not populated yet")
+    k = run.rows_filled - 1
     if k >= config.n_iterations:
-        raise ValueError(f"row {k + 1} exceeds configured iterations")
+        raise ValueError(f"all {config.n_iterations} iterations are filled")
     n = config.n_intervals
     micro, macro, tset = run.micro_prop, run.macro_prop, run.transfer
 
@@ -256,7 +251,7 @@ def parareal_iteration(run: PararealRun, k: int, workers: int = 1, pool=None):
         raise NonFiniteStateError(
             f"{exc}; iteration {k}, stage {stage}, dt={config.dt!r}"
         ) from exc
-    run.rows_filled = max(run.rows_filled, k + 2)
+    run.rows_filled = k + 2
 
 
 def _member_reference(prop, u0: np.ndarray, n: int) -> np.ndarray:
@@ -297,8 +292,8 @@ def run(config: PararealConfig, workers: int = 1, pool=None) -> PararealRun:
             ]
         if pool is not None:
             references = [pool.submit(_member_reference, p, *args) for p in props]
-        for k in range(config.n_iterations):
-            parareal_iteration(r, k, workers=workers, pool=pool)
+        for _ in range(config.n_iterations):
+            parareal_iteration(r, workers=workers, pool=pool)
         if props:
             trajectories = (
                 [_member_reference(p, *args) for p in props] if pool is None

@@ -44,17 +44,20 @@ _step_components reports them as NonFiniteStateError.
   has the contract rhs(u, out), writing B u into out with no temporary:
   B.dot(u, out) (a BLAS matrix-vector product), on a grid one np.matmul
   by the members' stacked (E, d, d) B. A substep is then rhs(u, t);
-  t *= h; u += t, numpy's u + h * (B @ u) bit for bit. h is a 0-d
-  float64 array and out is passed positionally, because numpy's per-call
-  cost is the whole cost of such a substep: on numpy 2.4 a Python-float
-  operand makes a call cost about 0.69 us against 0.47 us, and a keyword
-  out adds about 0.05 us;
+  t *= h; u += t, numpy's u + h * (B @ u) bit for bit;
 * exact-linear macro: X -> exp(lam dt) X, with exp(lam dt) > 0 cached;
 * forward-euler macro: a single explicit Euler step of the slow model,
   Xi = Xi + dt * dXi;
 * rk4 macro: classical Runge-Kutta 4 substeps of the slow model, at most
   DEFAULT_MACRO_SUBSTEP long, so the coarse step resolves the macro model
   (linear or nonlinear) and its error is the modeling error alone.
+
+In the hot Euler kernels, this linear loop and the column loops of
+systems.EULER_LOOPS, every scalar operand is a 0-d float64 array made once
+per call and out is positional: numpy's per-call cost is the whole cost of
+a substep, and on numpy 2.4 a ufunc call on 100 doubles costs about
+0.69 us with a Python-float operand against 0.47 us with a 0-d array, and
+a keyword out about 0.05 us more, for the same float64 loop and bits.
 
 Every step but the exact-linear macro one checks its endpoint, once per
 call. One state, by _step_components' own predicate (u.size ==
@@ -140,10 +143,8 @@ def _euler_array_substeps(
     # Copied once, since the engine passes views of its lattice rows; the
     # substeps then run in place, state by state, with rhs(u, t) writing
     # into one buffer t: the operations of u + h * rhs(u), in their order.
-    # h is a 0-d float64 array and out is positional: on numpy 2.4 a ufunc
-    # call on 100 doubles costs about 0.69 us with a Python-float operand
-    # against 0.47 us with a 0-d array, and a keyword out adds about
-    # 0.05 us, while both operands resolve to the same float64 loop and bits.
+    # h is a 0-d float64 array and out is positional; the module docstring
+    # says why.
     u = np.array(u, dtype=float, order="C")
     states = u.reshape(-1, *u.shape[u.ndim - state_ndim:])
     t = np.empty(states.shape[1:])

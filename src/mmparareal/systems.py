@@ -388,12 +388,11 @@ def builtin_brusselator(epsilon: float) -> NonlinearFastSlowSystem:
 # every derivative row of one stack du with ufunc calls given their out
 # positionally, then makes all d updates with one multiply(h, du, du) and
 # one add(u, du, u), with no allocation. Its scalar operands (h, epsilon,
-# the rhs's constants) are 0-d float64 arrays made once per call, because
-# on numpy 2.4 a Python-float operand costs about 0.69 us per ufunc call on
-# 100 doubles against 0.47 us, for the same float64 loop and so the same
-# bits. Both compute every derivative, term by term in the rhs's own order,
-# before any update ui = ui + h * dui, so their endpoints are bitwise those
-# of the loop that calls the rhs, without the call.
+# the rhs's constants) are 0-d float64 arrays made once per call; the
+# propagators module docstring says why. Both compute every derivative,
+# term by term in the rhs's own order, before any update ui = ui + h * dui,
+# so their endpoints are bitwise those of the loop that calls the rhs,
+# without the call.
 EULER_LOOPS = {
     _quadratic_micro_rhs: (_quadratic_euler_loop, _quadratic_euler_columns),
     _brusselator_micro_rhs: (_brusselator_euler_loop, _brusselator_euler_columns),

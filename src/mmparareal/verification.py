@@ -50,8 +50,8 @@ def _toy_config(variant, epsilon=1e-2, kmax=4, coarse="exact", fine="exact",
     )
 
 
-def _toy_run(variant, workers=1, **options):
-    return engine.run(_toy_config(variant, **options), workers=workers)
+def _toy_run(variant, **options):
+    return engine.run(_toy_config(variant, **options))
 
 
 def _consistency_violation(run) -> float:
@@ -301,8 +301,8 @@ def _tampered_run(kmax=4):
     """A toy MATCHING run whose iterations use _TamperedTransfer."""
     run = engine.init_sweep(_toy_config(AlgorithmVariant.MATCHING, kmax=kmax))
     run.transfer = _TamperedTransfer(run.transfer.slow_dim, run.transfer.lift)
-    for k in range(kmax):
-        engine.parareal_iteration(run, k)
+    for _ in range(kmax):
+        engine.parareal_iteration(run)
     return run
 
 

@@ -58,6 +58,22 @@ class TestFitSlope:
         with pytest.raises(ValueError):
             fit_slope([0.0, 2.0], [1.0, 2.0])
 
+    @pytest.mark.parametrize(
+        "xs, ys",
+        [
+            ([np.nan, 1.0, 2.0], [1.0, 2.0, 3.0]),
+            ([1.0, np.inf, 2.0], [1.0, 2.0, 3.0]),
+            ([1.0, 2.0, 3.0], [1.0, np.inf, 3.0]),
+            ([1.0, 2.0, 3.0], [1.0, np.nan, 3.0]),
+        ],
+        ids=["nan-x", "inf-x", "inf-y", "nan-y"],
+    )
+    def test_non_finite_point_rejected(self, xs, ys):
+        # Rejected up front: not a LAPACK error, a RuntimeWarning, a nan
+        # slope or a point silently dropped by the floor.
+        with pytest.raises(ValueError, match="must be finite"):
+            fit_slope(xs, ys)
+
 
 @pytest.fixture(scope="module")
 def matching_run():

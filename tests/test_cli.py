@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmparareal import analysis, cli, engine
 from mmparareal.cli import CSV_HEADER, main
@@ -264,6 +267,31 @@ def _crafted_table(epsilon, lattices):
     )
 
 
+# Float64 bit patterns that random patterns seldom hit: +-0.0, the smallest
+# and largest subnormals, +-inf, NaNs of either sign and with a payload, and
+# ordinary values that repeat.
+SPECIAL_BITS = [
+    0x0000000000000000, 0x8000000000000000, 0x0000000000000001,
+    0x800FFFFFFFFFFFFF, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000001,
+    0x7FF0000000000001, 0x3FF0000000000000, 0x3FB999999999999A,
+]
+
+
+@st.composite
+def bit_pattern_tables(draw):
+    """1-3 tables of random K and N whose cells are float64 bit patterns."""
+    cell = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1))
+    tables = []
+    for i in range(draw(st.integers(1, 3))):
+        shape = (4, draw(st.integers(1, 4)), draw(st.integers(2, 6)))
+        bits = draw(st.lists(cell, min_size=math.prod(shape),
+                             max_size=math.prod(shape)))
+        cells = np.array(bits, dtype=np.uint64).view(np.float64).reshape(shape)
+        tables.append(_crafted_table(10.0 ** -i, list(cells)))
+    return tables
+
+
 class TestEmitTables:
     def _captured(self, monkeypatch, argv):
         seen = []
@@ -316,6 +344,13 @@ class TestEmitTables:
             assert text == _emit_tables_rowwise(tables, all_times)
         assert ",-0.0," in text and ",0.0," in text and ",nan," in text
         assert ",5e-324" in text and ",-inf" in text
+
+    @settings(max_examples=50)
+    @given(tables=bit_pattern_tables(), all_times=st.booleans())
+    def test_any_bit_patterns_match_rowwise_writer(self, tables, all_times):
+        assert cli._emit_tables(tables, all_times) == _emit_tables_rowwise(
+            tables, all_times
+        )
 
 
 class TestPackageEntryPoint:

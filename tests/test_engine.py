@@ -3,11 +3,12 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mmparareal import engine
 from mmparareal.engine import (
     AlgorithmVariant,
-    InconsistentRowError,
     PararealConfig,
     classic_parareal,
     init_sweep,
@@ -154,15 +155,48 @@ class TestInitSweep:
 
 
 class TestIterationStructure:
-    def test_iterating_unfilled_row_raises(self):
-        r = init_sweep(toy_config(AlgorithmVariant.MATCHING, 3))
-        with pytest.raises(InconsistentRowError):
-            parareal_iteration(r, 1)
-
     def test_iterating_past_allocation_raises(self):
         r = run(toy_config(AlgorithmVariant.MATCHING, 1))
         with pytest.raises(ValueError):
-            parareal_iteration(r, 1)
+            parareal_iteration(r)
+
+    @pytest.mark.parametrize(
+        "epsilons, workers",
+        [(None, 1), ((1e-2, 3e-3, 1e-3), 1), (None, 2)],
+        ids=["plain", "grid", "pool"],
+    )
+    def test_each_call_fills_the_next_row_of_run(self, epsilons, workers):
+        cfg = toy_config(
+            AlgorithmVariant.MATCHING, 3, epsilons=epsilons, with_reference=False
+        )
+        pool = worker_pool(workers) if workers > 1 else None
+        try:
+            r = init_sweep(cfg)
+            for k in range(cfg.n_iterations):
+                parareal_iteration(r, workers=workers, pool=pool)
+                assert r.rows_filled == k + 2
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        whole = run(cfg)
+        assert r.u.tobytes() == whole.u.tobytes()
+        assert r.x.tobytes() == whole.x.tobytes()
+
+    def test_call_after_the_last_row_changes_nothing(self):
+        r = run(toy_config(AlgorithmVariant.MATCHING, 2))
+        u, x = r.u.tobytes(), r.x.tobytes()
+        with pytest.raises(ValueError, match="all 2 iterations are filled"):
+            parareal_iteration(r)
+        assert r.rows_filled == 3
+        assert (r.u.tobytes(), r.x.tobytes()) == (u, x)
+
+    def test_row_index_is_not_an_argument(self):
+        # A positional second argument is rejected, not taken as workers.
+        r = init_sweep(toy_config(AlgorithmVariant.MATCHING, 2))
+        with pytest.raises(TypeError):
+            parareal_iteration(r, 0)
+        assert r.rows_filled == 1
+        assert np.all(np.isnan(r.u[1]))
 
     def test_row_zero_is_variant_independent(self):
         rows = [
@@ -461,6 +495,38 @@ class TestEpsilonGrid:
             assert np.array_equal(grid.u[:, :, i], plain.u)
             assert np.array_equal(grid.x[:, :, i], plain.x)
             assert np.array_equal(grid.reference[:, i], plain.reference)
+
+    # Down to epsilon = 1e-3, every system's Euler substep 1e-3 is stable.
+    STABLE_EPS = (5e-2, 2e-2, 1e-2, 5e-3, 3e-3, 2e-3, 1e-3)
+    PROPERTY_CASES = {
+        "toy-exact-MATCHING": (builtin_toy, [1.0, 0.0, 0.0], "MATCHING", "exact",
+                               "exact"),
+        "toy-euler-MATCHING": (builtin_toy, [1.0, 0.0, 0.0], "MATCHING", "euler",
+                               "exact"),
+        "quadratic-euler-rk4": (partial(builtin_quadratic, 1.0), [1.0, 0.0],
+                                "LIFTING", "euler", "rk4"),
+    }
+
+    @pytest.mark.parametrize("case", list(PROPERTY_CASES))
+    @settings(max_examples=10)
+    @given(epsilons=st.lists(st.sampled_from(STABLE_EPS), min_size=1, max_size=5))
+    def test_slices_are_the_plain_runs_for_any_grid(self, case, epsilons):
+        builder, u0, variant, fine, coarse = self.PROPERTY_CASES[case]
+
+        def config(epsilon, **kw):
+            return PararealConfig(
+                system=builder(epsilon), t_final=0.5, dt=0.1, n_iterations=2,
+                variant=AlgorithmVariant[variant], u0=np.array(u0),
+                micro_kind=fine, macro_kind=coarse,
+                substep=1e-3 if fine == "euler" else None, **kw,
+            )
+
+        grid = run(config(epsilons[0], epsilons=epsilons))
+        for i, epsilon in enumerate(epsilons):
+            plain = run(config(epsilon))
+            assert grid.u[:, :, i].tobytes() == plain.u.tobytes()
+            assert grid.x[:, :, i].tobytes() == plain.x.tobytes()
+            assert grid.reference[:, i].tobytes() == plain.reference.tobytes()
 
 
 class TestClassicParareal:

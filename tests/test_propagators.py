@@ -421,6 +421,20 @@ PARTITIONED = {
 }
 
 
+# Macro steps of dt = 0.02 (4 RK4 substeps), on plain rows of slow states
+# and on rows of 3-member grid slots.
+MACRO_PARTITIONED = {
+    f"{name}-{kind}{suffix}": (make_macro(system, 0.02, kind), system, grid)
+    for name, system in (
+        ("toy", builtin_toy(1e-3)),
+        ("quadratic", builtin_quadratic(1.0, 1e-3)),
+        ("brusselator", builtin_brusselator(1e-3)),
+    )
+    for kind in ("euler", "rk4")
+    for suffix, grid in (("", ()), ("-grid", (len(GRID_EPS),)))
+}
+
+
 @st.composite
 def split_rows(draw):
     """A row length n and the bounds of a contiguous split of it, with
@@ -447,6 +461,26 @@ class TestPartitionInvariance:
         assert slabs.shape == row.shape
         assert slabs.tobytes() == prop.step(row).tobytes()
         assert slabs.tobytes() == np.stack([prop.step(u) for u in row]).tobytes()
+
+    @pytest.mark.parametrize("kernel", list(MACRO_PARTITIONED))
+    @settings(max_examples=50)
+    @given(split=split_rows(), seed=st.integers(0, 2**32 - 1))
+    def test_macro_slabs_are_bitwise_the_row_and_its_states(
+        self, kernel, split, seed
+    ):
+        prop, system, grid = MACRO_PARTITIONED[kernel]
+        n, bounds = split
+        row = np.random.default_rng(seed).uniform(
+            0.2, 2.0, (n, *grid, system.slow_dim)
+        )
+        slabs = np.concatenate(
+            [prop.step(row[a:b]) for a, b in zip(bounds, bounds[1:])]
+        )
+        # Each slow state alone takes the float path; rows take the columns.
+        states = [prop.step(x) for x in row.reshape(-1, system.slow_dim)]
+        assert slabs.shape == row.shape
+        assert slabs.tobytes() == prop.step(row).tobytes()
+        assert slabs.tobytes() == np.stack(states).tobytes()
 
 
 class TestMacroPropagators:
