@@ -427,6 +427,9 @@ def main(argv=None) -> int:
         except ValueError as exc:
             # Config-shaped problems surfacing from the library layer.
             raise CliError(str(exc)) from exc
+        except MemoryError as exc:
+            # numpy's message names the allocation: its size and shape.
+            raise CliError(f"out of memory: {exc}") from exc
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

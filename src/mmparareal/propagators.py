@@ -40,11 +40,13 @@ _step_components reports them as NonFiniteStateError.
   other rhs is called, micro_rhs(v, epsilon), once per substep, by one
   plain loop on floats and columns alike (_called_loop).
   A linear system keeps the array loop, one interval at a
-  time, in two buffers: a copy u of the state and a derivative t. Its rhs
-  has the contract rhs(u, out), writing B u into out with no temporary:
-  B.dot(u, out) (a BLAS matrix-vector product), on a grid one np.matmul
-  by the members' stacked (E, d, d) B. A substep is then rhs(u, t);
-  t *= h; u += t, numpy's u + h * (B @ u) bit for bit;
+  time, in two buffers shaped like the row: a copy u of its states and
+  their derivatives t. Its rhs has the contract rhs(u, out), writing B u
+  into out with no temporary: B.dot(u, out) (a BLAS matrix-vector
+  product), on a grid one np.matmul by the members' stacked (E, d, d) B.
+  A substep makes one rhs call per state, into its row of t (one stacked
+  matmul would stop a slab's cost growing with its rows), then t *= h and
+  u += t over the row: numpy's u + h * (B @ u) bit for bit;
 * exact-linear macro: X -> exp(lam dt) X, with exp(lam dt) > 0 cached;
 * forward-euler macro: a single explicit Euler step of the slow model,
   Xi = Xi + dt * dXi;
@@ -141,22 +143,23 @@ def _euler_array_substeps(
     rhs, h: float, n_sub: int, u: np.ndarray, state_ndim: int = 1
 ) -> np.ndarray:
     # Copied once, since the engine passes views of its lattice rows; the
-    # substeps then run in place, state by state, with rhs(u, t) writing
-    # into one buffer t: the operations of u + h * rhs(u), in their order.
-    # h is a 0-d float64 array and out is positional; the module docstring
-    # says why.
+    # substeps then run in place, each an rhs call per state into its row
+    # of t and one multiply and one add over the slab: the operations of
+    # u + h * rhs(u), in their order. h is a 0-d float64 array and out is
+    # positional; the module docstring says why.
     u = np.array(u, dtype=float, order="C")
     states = u.reshape(-1, *u.shape[u.ndim - state_ndim:])
-    t = np.empty(states.shape[1:])
+    t = np.empty_like(states)
+    pairs = list(zip(states, t))
     h = np.array(h)
     multiply, add = np.multiply, np.add
     # A blow-up runs on to inf/NaN for the endpoint check, without warnings.
     with np.errstate(over="ignore", invalid="ignore"):
-        for state in states:
-            for _ in range(n_sub):
-                rhs(state, t)
-                multiply(h, t, t)
-                add(state, t, state)
+        for _ in range(n_sub):
+            for state, t_state in pairs:
+                rhs(state, t_state)
+            multiply(h, t, t)
+            add(states, t, states)
     return u
 
 

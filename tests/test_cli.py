@@ -203,6 +203,30 @@ class TestDeterminism:
         data = (tmp_path / "pinned.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "epsilons, digest",
+        [
+            ("1e-2,1e-3",
+             "5c58afafc89aa4b377298cc855fc8d6554e86821a24af88bca961ca174eebaf4"),
+            ("1e-2",
+             "769381ee5f60ac079d40ceef4b91e488d79697f23a595427f188d09c2d27bfda"),
+        ],
+        ids=["grid", "plain"],
+    )
+    def test_linear_euler_sweep_bytes_pinned(self, tmp_path, epsilons, digest, workers):
+        # The toy's linear Euler fine loop end to end, on an epsilon grid
+        # (stacked matvecs) and on one epsilon (B.dot). Like the verify
+        # report below, these bits are set by BLAS's matrix-vector product,
+        # so a different BLAS build may move them.
+        code, _ = run_to_file(
+            tmp_path, "pinned.csv", "sweep-k", "--fine", "euler", "--epsilons",
+            epsilons, "--T", "1", "--kmax", "2", "--all-times", "--workers", workers,
+        )
+        assert code == 0
+        data = (tmp_path / "pinned.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
+
     def test_verify_report_bytes_pinned(self, capsys):
         # Unlike the CSVs above, the report prints round-off figures of
         # BLAS and LAPACK calls, so a different BLAS build may move them.
@@ -407,6 +431,32 @@ class TestValidationErrors:
         assert proc.returncode == 1
         assert "error:" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_lattice_too_large_exits_1_without_traceback(self, capsys, workers):
+        # N = 10^15 intervals: numpy refuses the 661 PiB lattice outright,
+        # past any address space, so no memory is touched. A fresh
+        # interpreter shows what a user sees; the in-process run checks
+        # that the pool is shut down.
+        argv = ["sweep-k", "--T", "1e12", "--dt", "1e-3", "--epsilons", "1e-2",
+                "--workers", workers]
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        proc = subprocess.run(
+            [sys.executable, "-m", "mmparareal.cli", *argv],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+            timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert "Traceback" not in proc.stderr
+        last = proc.stderr.splitlines()[-1]
+        assert last.startswith("error: out of memory: Unable to allocate")
+        assert "PiB" in last
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: out of memory" in captured.err
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("system", ["toy", "quadratic"])
     def test_infinite_epsilon_exits_1(self, capsys, system):

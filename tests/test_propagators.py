@@ -324,6 +324,27 @@ class TestRowStep:
             with pytest.raises(NonFiniteStateError):
                 prop.step(states)
 
+    @pytest.mark.parametrize("grid", [False, True], ids=["plain", "grid"])
+    def test_linear_row_with_one_blow_up_raises_without_warning(self, grid):
+        # The linear loop multiplies and adds over the whole slab, so the
+        # inf and NaN of the state started at 1e308 pass through the same
+        # calls as its neighbours: the error must be the only signal, and
+        # without that state the row is finite and its states' own steps.
+        members = tuple(builtin_toy(e) for e in GRID_EPS)
+        system = members if grid else members[1]
+        prop = EulerMicro(system, 0.01, 1e-4)
+        states = _seeded_states(members[0], 7 * len(GRID_EPS), seed=5)
+        states = states.reshape(7, len(GRID_EPS), 3) if grid else states[:7]
+        states[(3, 1) if grid else 3] = 1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteStateError):
+                prop.step(states)
+            rest = np.delete(states, 3, axis=0)
+            got = prop.step(rest)
+            assert np.all(np.isfinite(got))
+            assert np.array_equal(got, np.stack([prop.step(u) for u in rest]))
+
     @pytest.mark.parametrize("n", [0, 2], ids=["state", "row"])
     def test_division_by_zero_raises_without_warning(self, n):
         # As for the macro steps: 1.0 / 0.0 raises on floats and gives inf
