@@ -1,6 +1,6 @@
 """Dense linear algebra for small systems.
 
-Everything in this package works with tiny dense matrices (d <= 16), so we
+Everything in this package works with tiny dense matrices, so we
 wrap LAPACK-backed routines from numpy/scipy behind a small surface with
 explicit failure signalling:
 
@@ -95,10 +95,8 @@ def mat_exp(m) -> np.ndarray:
 
 
 def eigenvalues(m) -> np.ndarray:
-    """Eigenvalues of a square matrix (d <= 16), sorted by (real, imag)."""
+    """Eigenvalues of a square matrix, sorted by (real, imag)."""
     m = _as_square(m)
-    if m.shape[0] > 16:
-        raise ValueError("eigenvalues: matrices larger than 16x16 unsupported")
     try:
         vals = np.linalg.eigvals(m)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK cap

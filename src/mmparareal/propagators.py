@@ -7,8 +7,11 @@ them, shape (n, d), and maps a row state by state.
 A micro propagator can also be built for an epsilon grid: a tuple of E
 members of one system that differ only in epsilon. It steps (..., E, d)
 arrays, member e's state in slot e of axis -2, bitwise as member e's own
-propagator steps it. Only the micro propagators see epsilon; the macro
-steps act on the last axis, elementwise over the others.
+propagator steps it. Only a grid of E > 1 members stacks their arrays
+(_stacked); a one-member grid holds its member's own, and its (..., 1, d)
+arrays are stepped as that member's states are. Only the micro propagators
+see epsilon; the macro steps act on the last axis, elementwise over the
+others.
 
 The nonlinear Euler micro step and the Euler and RK4 macro steps share one
 component contract. Each is a step written over the tuple v of a state's
@@ -26,8 +29,8 @@ _step_components reports them as NonFiniteStateError.
 
 * exact-linear micro: u -> exp(B dt) u with the exponential cached at
   construction (the iteration applies it N*K times); one np.matmul steps a
-  row, bitwise equal to phi @ u on each of its states. On a grid the
-  members' exponentials are stacked to (E, d, d);
+  row, bitwise equal to phi @ u on each of its states. On a grid of E > 1
+  members their exponentials are stacked to (E, d, d);
 * forward-euler micro: dt/substep explicit Euler substeps of the full
   right-hand side; a substep past explicit Euler's stability limit is
   rejected at construction, for every member of a grid before any step. A
@@ -43,7 +46,8 @@ _step_components reports them as NonFiniteStateError.
   time, in two buffers shaped like the row: a copy u of its states and
   their derivatives t. Its rhs has the contract rhs(u, out), writing B u
   into out with no temporary: B.dot(u, out) (a BLAS matrix-vector
-  product), on a grid one np.matmul by the members' stacked (E, d, d) B.
+  product), on a grid of E > 1 members one np.matmul by their stacked
+  (E, d, d) B.
   A substep makes one rhs call per state, into its row of t (one stacked
   matmul would stop a slab's cost growing with its rows), then t *= h and
   u += t over the row: numpy's u + h * (B @ u) bit for bit;
@@ -127,10 +131,12 @@ def _matvec(m: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _stacked(f, system):
-    """f(system), or for a tuple of grid members their results stacked."""
-    if isinstance(system, tuple):
-        return np.stack([f(member) for member in system])
-    return f(system)
+    """f(system), or for a tuple of grid members their results stacked. A
+    one-member tuple gives its member's own f(member), so it is stepped as
+    its member is."""
+    members = system if isinstance(system, tuple) else (system,)
+    values = [f(member) for member in members]
+    return np.stack(values) if len(values) > 1 else values[0]
 
 
 def _matvec_into(m: np.ndarray, u: np.ndarray, out: np.ndarray) -> None:
@@ -250,8 +256,7 @@ class EulerMicro:
             raise ValueError("substep must be positive")
         self.n_sub = step_count(self.dt, float(substep), "dt/substep")
         self.h = self.dt / self.n_sub
-        grid = isinstance(system, tuple)
-        members = system if grid else (system,)
+        members = system if isinstance(system, tuple) else (system,)
         for member in members:
             h_max = _stable_substep_limit(member)
             if not self.h < h_max:
@@ -261,20 +266,13 @@ class EulerMicro:
                 )
         if isinstance(members[0], LinearFastSlowSystem):
             # A grid state is the (E, d) states of the members, stepped by
-            # their stacked B.
-            self.rhs = (
-                partial(_matvec_into, _stacked(lambda m: m.b_matrix(), system))
-                if grid else system.b_matrix().dot
-            )
-            self.epsilon, self._state_ndim = None, 1 + grid
+            # their stacked (E, d, d) B; a state of one system by its B.
+            b = _stacked(lambda m: m.b_matrix(), system)
+            self.rhs = b.dot if b.ndim == 2 else partial(_matvec_into, b)
+            self.epsilon, self._state_ndim = None, b.ndim - 1
         else:
             self.rhs = members[0].micro_rhs
-            # A one-member grid's state is one state, stepped on floats,
-            # so it keeps its member's float epsilon.
-            self.epsilon = (
-                _stacked(lambda m: m.epsilon, system)
-                if len(members) > 1 else members[0].epsilon
-            )
+            self.epsilon = _stacked(lambda m: m.epsilon, system)
 
     def step(self, u: np.ndarray) -> np.ndarray:
         # self.rhs is read here, not bound at construction, so a wrapper

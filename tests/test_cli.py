@@ -227,6 +227,22 @@ class TestDeterminism:
         data = (tmp_path / "pinned.csv").read_bytes()
         assert hashlib.sha256(data).hexdigest() == digest
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_toy_euler_sweep_dt_bytes_pinned(self, tmp_path, workers):
+        # The toy's linear Euler fine loop over sweep-dt's dt groups, each
+        # run as a one-member epsilon grid. Like the verify report below,
+        # these bits are set by BLAS's matrix-vector product, so a
+        # different BLAS build may move them.
+        code, _ = run_to_file(
+            tmp_path, "pinned.csv", "sweep-dt", "--system", "toy", "--fine", "euler",
+            "--epsilons", "1e-2", "--T", "1", "--workers", workers,
+        )
+        assert code == 0
+        data = (tmp_path / "pinned.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == (
+            "56f9a1abb35005093f6b316228edd29d452a4807c6ee827cd24b918b13f7c74d"
+        )
+
     def test_verify_report_bytes_pinned(self, capsys):
         # Unlike the CSVs above, the report prints round-off figures of
         # BLAS and LAPACK calls, so a different BLAS build may move them.

@@ -3,6 +3,8 @@ import pytest
 
 from mmparareal import linalg
 from mmparareal.linalg import ExpOverflowError, SingularMatrixError
+from mmparareal.propagators import make_micro
+from mmparareal.systems import LinearFastSlowSystem
 
 TOY_A = np.array([[0.5, 0.5], [0.0, 1.0 / 3.0]])
 
@@ -100,6 +102,14 @@ class TestEigenvalues:
         vals = linalg.eigenvalues(np.array([[0.0, -1.0], [1.0, 0.0]]))
         assert np.allclose(vals, [-1.0j, 1.0j], atol=1e-15)
 
-    def test_dimension_cap(self):
-        with pytest.raises(ValueError):
-            linalg.eigenvalues(np.eye(17))
+    def test_euler_stability_guard_past_sixteen_components(self):
+        # The Euler micro propagator's stability guard takes the eigenvalues
+        # of the full 17x17 B of a system with 16 fast components.
+        system = LinearFastSlowSystem(
+            alpha=-1.0, p=np.full(16, 0.1), q=np.ones(16), A=np.eye(16),
+            epsilon=1e-2,
+        )
+        prop = make_micro(system, 0.01, kind="euler", substep=1e-3)
+        row = np.random.default_rng(3).uniform(-1.0, 1.0, (4, system.dim))
+        got = prop.step(row)
+        assert got.tobytes() == np.stack([prop.step(u) for u in row]).tobytes()

@@ -97,6 +97,13 @@ class TestExactMicro:
         with pytest.raises(ValueError):
             make_micro(builtin_quadratic(1.0, 1e-3), 0.1, kind="exact")
 
+    def test_one_member_grid_holds_its_members_phi(self):
+        system = builtin_toy(1e-2)
+        phi = make_micro((system,), 0.1, kind="exact").phi
+        want = make_micro(system, 0.1, kind="exact").phi
+        assert phi.shape == (system.dim, system.dim)
+        assert phi.tobytes() == want.tobytes()
+
 
 class TestEulerMicro:
     def test_single_substep_is_one_euler_update(self):
@@ -260,6 +267,17 @@ class TestEulerMicro:
             for _ in range(prop.n_sub):
                 u = u + prop.h * (b @ u)
             assert np.array_equal(got[index], u)
+
+    def test_one_member_linear_grid_steps_states_by_its_members_b(self):
+        system = builtin_toy(1e-2)
+        prop = EulerMicro((system,), 0.1, 1e-4)
+        assert prop._state_ndim == 1
+        assert prop.rhs == system.b_matrix().dot
+
+    def test_one_member_nonlinear_grid_keeps_its_members_epsilon(self):
+        system = builtin_quadratic(1.0, 1e-3)
+        prop = EulerMicro((system,), 0.1, 1e-4)
+        assert type(prop.epsilon) is float and prop.epsilon == system.epsilon
 
     @pytest.mark.parametrize("grid", [False, True], ids=["plain", "grid"])
     def test_linear_overflow_raises_without_warning(self, grid):
@@ -442,6 +460,20 @@ PARTITIONED = {
 }
 
 
+# One-member grids, and their member's plain propagator, which must step
+# the member's (n, d) rows as the grid steps its (n, 1, d) ones.
+ONE_MEMBER = {
+    name: (make((system,)), make(system), system)
+    for name, system, make in (
+        ("toy-exact", builtin_toy(1e-3), partial(make_micro, dt=1e-3)),
+        ("toy-euler", builtin_toy(1e-3),
+         partial(make_micro, dt=1e-3, kind="euler", substep=1e-4)),
+        ("quadratic-euler", builtin_quadratic(1.0, 1e-3),
+         partial(make_micro, dt=1e-3, kind="euler", substep=1e-4)),
+    )
+}
+
+
 # Macro steps of dt = 0.02 (4 RK4 substeps), on plain rows of slow states
 # and on rows of 3-member grid slots.
 MACRO_PARTITIONED = {
@@ -482,6 +514,22 @@ class TestPartitionInvariance:
         assert slabs.shape == row.shape
         assert slabs.tobytes() == prop.step(row).tobytes()
         assert slabs.tobytes() == np.stack([prop.step(u) for u in row]).tobytes()
+
+    @pytest.mark.parametrize("kernel", list(ONE_MEMBER))
+    @settings(max_examples=50)
+    @given(split=split_rows(), seed=st.integers(0, 2**32 - 1))
+    def test_one_member_slabs_are_bitwise_the_row_and_its_member(
+        self, kernel, split, seed
+    ):
+        prop, plain, system = ONE_MEMBER[kernel]
+        n, bounds = split
+        row = _seeded_states(system, n, seed)[:, None]
+        slabs = np.concatenate(
+            [prop.step(row[a:b]) for a, b in zip(bounds, bounds[1:])]
+        )
+        assert slabs.shape == row.shape
+        assert slabs.tobytes() == prop.step(row).tobytes()
+        assert slabs.tobytes() == plain.step(row[:, 0]).tobytes()
 
     @pytest.mark.parametrize("kernel", list(MACRO_PARTITIONED))
     @settings(max_examples=50)
