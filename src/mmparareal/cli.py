@@ -23,6 +23,7 @@ import math
 import os
 import sys
 from argparse import Namespace
+from contextlib import nullcontext
 from itertools import repeat
 
 import numpy as np
@@ -327,14 +328,11 @@ def cmd_sweep(spec: Namespace) -> int:
     # Every group's config is checked before the metadata and the first run.
     configs = [_config(spec, dt, eps[0], epsilons=eps) for dt, eps in groups]
     _print_metadata(spec, groups[0][1])
-    pool = engine.worker_pool(spec.workers) if spec.workers > 1 else None
-    try:
-        tables = []
+    tables = []
+    own = engine.worker_pool(spec.workers) if spec.workers > 1 else nullcontext()
+    with own as pool:
         for config in configs:
             tables += analysis.grid_tables(config, spec.system, spec.workers, pool)
-    finally:
-        if pool is not None:
-            pool.shutdown()
     _write_output(_emit_tables(tables, spec.all_times), spec.out)
     return 0
 

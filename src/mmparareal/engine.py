@@ -41,7 +41,7 @@ composition lift . C . restrict; that identification only holds for the
 linear model, so the variant rejects nonlinear systems.
 
 Determinism: the fine stage is a pure map over contiguous slabs (one per
-worker, or the whole row without a pool) with an ordered gather, a row step
+worker, with or without a pool) with an ordered gather, a row step
 is bitwise the steps of its states one by one, and every sweep reduces in
 ascending n, so lattices are bit-identical for any worker count.
 """
@@ -51,10 +51,11 @@ from __future__ import annotations
 import dataclasses
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
-from typing import Optional
+from typing import Iterator, Optional
 
 import multiprocessing
 import numpy as np
@@ -121,6 +122,14 @@ class PararealConfig:
                 raise ValueError("epsilons must not be empty")
             self.members = tuple(
                 dataclasses.replace(self.system, epsilon=e) for e in self.epsilons
+            )
+        # numpy cannot represent a float64 lattice past its index type's range.
+        n_members = 1 if self.members is None else len(self.members)
+        states = (self.n_iterations + 1) * (self.n_intervals + 1) * n_members
+        if 8 * states * self.system.dim > np.iinfo(np.intp).max:
+            raise ValueError(
+                f"t_final/dt = {self.n_intervals:.3g} intervals and n_iterations"
+                f" = {self.n_iterations} make a lattice too large for numpy"
             )
         # The run's propagators, built here so that an unknown kind, an exact
         # propagator of a nonlinear system, an inexact dt/substep and every
@@ -208,12 +217,10 @@ def parareal_iteration(run: PararealRun, *, workers: int = 1, pool=None):
     # A blow-up is re-raised naming where it happened.
     stage = "2a (fine)"
     try:
-        # (2a) fine endpoints: pure map over contiguous slabs of row k,
+        # (2a) fine endpoints: pure map over `workers` slabs of row k,
         # gathered in slab order; ubar[j] is the endpoint of interval j+1.
-        if pool is None:
-            slabs, mapper = [run.u[k][:-1]], map
-        else:
-            slabs, mapper = np.array_split(run.u[k][:-1], workers), pool.map
+        slabs = np.array_split(run.u[k][:-1], workers)
+        mapper = map if pool is None else pool.map
         t0 = time.perf_counter()
         results = list(mapper(partial(_fine_slab, micro), slabs))
         run.timings.fine_wall.append(time.perf_counter() - t0)
@@ -269,53 +276,56 @@ def _member_reference(prop, u0: np.ndarray, n: int) -> np.ndarray:
 def run(config: PararealConfig, workers: int = 1, pool=None) -> PararealRun:
     """Init sweep, K correction iterations and the reference trajectory.
 
-    With workers > 1 the run forks its own pool and shuts it down on return,
-    unless the caller passes one in pool, which the run uses and leaves
-    running. The reference is one sequential trajectory per member, by its
-    own micro propagator. It never feeds the iteration, so with a pool it is
-    submitted as one task per member before iteration 0 and gathered after
-    the last iteration; without one it is stepped after the last iteration,
-    in this process, so a run whose iterations fail never steps it.
+    The fine stage steps `workers` slabs of each row, with or without a
+    pool. The run uses a caller's pool and leaves it running; without one, a
+    run with workers > 1 forks its own, which ends when the run does. The
+    reference is one sequential trajectory per member. It never feeds the
+    iteration, so with a pool it is submitted as one task per member before
+    iteration 0 and gathered after the last iteration; without one it is
+    stepped after the last iteration, so failed iterations never step it.
     """
     r = init_sweep(config)
 
-    own_pool = pool is None and workers > 1
     args = (config.u0, config.n_intervals)
     props, references = [], []
-    try:
-        if own_pool:
-            pool = worker_pool(workers)
-        if config.with_reference:
-            props = [r.micro_prop] if config.members is None else [
-                make_micro(m, config.dt, config.micro_kind, config.substep)
-                for m in config.members
-            ]
-        if pool is not None:
-            references = [pool.submit(_member_reference, p, *args) for p in props]
-        for _ in range(config.n_iterations):
-            parareal_iteration(r, workers=workers, pool=pool)
-        if props:
-            trajectories = (
-                [_member_reference(p, *args) for p in props] if pool is None
-                else [future.result() for future in references]
-            )
-            r.reference = (
-                trajectories[0] if config.members is None
-                else np.stack(trajectories, axis=1)
-            )
-    finally:
-        # After an error, reference tasks still queued do not run.
-        for future in references:
-            future.cancel()
-        if own_pool:
-            pool.shutdown(cancel_futures=True)
+    own = worker_pool(workers) if pool is None and workers > 1 else nullcontext(pool)
+    with own as pool:
+        try:
+            if config.with_reference:
+                props = [r.micro_prop] if config.members is None else [
+                    make_micro(m, config.dt, config.micro_kind, config.substep)
+                    for m in config.members
+                ]
+            if pool is not None:
+                references = [pool.submit(_member_reference, p, *args) for p in props]
+            for _ in range(config.n_iterations):
+                parareal_iteration(r, workers=workers, pool=pool)
+            if props:
+                trajectories = (
+                    [_member_reference(p, *args) for p in props] if pool is None
+                    else [future.result() for future in references]
+                )
+                r.reference = (
+                    trajectories[0] if config.members is None
+                    else np.stack(trajectories, axis=1)
+                )
+        finally:
+            # After an error, reference tasks still queued do not run.
+            for future in references:
+                future.cancel()
     return r
 
 
-def worker_pool(workers: int) -> ProcessPoolExecutor:
-    """A pool of forked workers; it forks them on its first task, not here."""
+@contextmanager
+def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
+    """A pool that forks its workers on its first task; on exit it cancels
+    the tasks still queued and joins the running ones."""
     ctx = multiprocessing.get_context("fork")
-    return ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+    try:
+        yield pool
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def classic_parareal(

@@ -259,13 +259,10 @@ def check_determinism_across_workers():
     )
     # One process steps the 1-worker run's whole rows while the 2-worker
     # run's two slabs go to the other two, so the two runs overlap.
-    pool = engine.worker_pool(3)
-    try:
+    with engine.worker_pool(3) as pool:
         alone = pool.submit(engine.run, config)
         split = engine.run(config, workers=2, pool=pool)
         same = _lattices_identical([alone.result(), split])
-    finally:
-        pool.shutdown(cancel_futures=True)
     return same, "lattices bit-identical for 1 and 2 workers"
 
 

@@ -22,6 +22,9 @@ from mmparareal.systems import builtin_quadratic, builtin_toy
 
 TOY_U0 = np.array([1.0, 0.0, 0.0])
 
+# argv -> sha256 of the CSV on stdout, recorded before any change it guards.
+CORPUS = json.loads((Path(__file__).parent / "cli_corpus.json").read_text())
+
 
 def rows_of(text):
     return list(csv.DictReader(io.StringIO(text)))
@@ -165,83 +168,19 @@ class TestDeterminism:
         assert code_k == code_eps == 0
         assert by_k == by_eps
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize(
-        "argv, digest",
-        [
-            (
-                ("sweep-epsilon", "--system", "quadratic", "--epsilons",
-                 "1e-3,3e-4", "--T", "1", "--delta-t-fine", "1e-4", "--kmax", "2"),
-                "9319d3549cf22d60c9f0295f2068c421772d2d4bd407b67de5dfac842bfdf268",
-            ),
-            (
-                ("sweep-dt", "--system", "brusselator", "--epsilons", "1e-3",
-                 "--T", "1", "--delta-t-fine", "1e-4"),
-                "a6daa05e694451d3456494f2cf6a1d603addbf831090a2e3a72095053105d450",
-            ),
-            (
-                ("sweep-epsilon", "--system", "quadratic", "--epsilons",
-                 "1e-3,3e-4", "--T", "1", "--delta-t-fine", "1e-4", "--kmax", "2",
-                 "--all-times"),
-                "f9bb754e85060ee7f01d8c0668601c9f504136f621663917cf2c15eaf7cf6ef0",
-            ),
-            (
-                # Four dt groups, with N = 5, 10, 20 and 40.
-                ("sweep-dt", "--system", "brusselator", "--epsilons", "1e-3",
-                 "--T", "1", "--delta-t-fine", "1e-4", "--all-times"),
-                "46b2e03c2febef253c3c11fff0b7d3e3d2498f2db3b47c8ca597004d61550221",
-            ),
-        ],
-        ids=["quadratic-sweep-epsilon", "brusselator-sweep-dt",
-             "quadratic-sweep-epsilon-all-times", "brusselator-sweep-dt-all-times"],
-    )
-    def test_nonlinear_sweep_bytes_pinned(self, tmp_path, argv, digest, workers):
-        # Euler fine and coarse on the nonlinear systems: elementwise
-        # IEEE-754 arithmetic only, so the digests hold on any host.
-        code, _ = run_to_file(tmp_path, "pinned.csv", *argv, "--workers", workers)
-        assert code == 0
-        data = (tmp_path / "pinned.csv").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest
-
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    @pytest.mark.parametrize(
-        "epsilons, digest",
-        [
-            ("1e-2,1e-3",
-             "5c58afafc89aa4b377298cc855fc8d6554e86821a24af88bca961ca174eebaf4"),
-            ("1e-2",
-             "769381ee5f60ac079d40ceef4b91e488d79697f23a595427f188d09c2d27bfda"),
-        ],
-        ids=["grid", "plain"],
-    )
-    def test_linear_euler_sweep_bytes_pinned(self, tmp_path, epsilons, digest, workers):
-        # The toy's linear Euler fine loop end to end, on an epsilon grid
-        # (stacked matvecs) and on one epsilon (B.dot). Like the verify
-        # report below, these bits are set by BLAS's matrix-vector product,
-        # so a different BLAS build may move them.
-        code, _ = run_to_file(
-            tmp_path, "pinned.csv", "sweep-k", "--fine", "euler", "--epsilons",
-            epsilons, "--T", "1", "--kmax", "2", "--all-times", "--workers", workers,
-        )
-        assert code == 0
-        data = (tmp_path / "pinned.csv").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == digest
-
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_toy_euler_sweep_dt_bytes_pinned(self, tmp_path, workers):
-        # The toy's linear Euler fine loop over sweep-dt's dt groups, each
-        # run as a one-member epsilon grid. Like the verify report below,
-        # these bits are set by BLAS's matrix-vector product, so a
+    @pytest.mark.parametrize("command", list(CORPUS))
+    def test_corpus_bytes_pinned(self, capsys, command):
+        # Every accepted (system, fine, coarse, algorithm) through sweep-epsilon
+        # and sweep-dt, one sweep-dt per system through a pool, and the longer
+        # sweeps of the nonlinear systems and the toy's linear Euler fine
+        # loop at 1 and 2 workers. Euler fine and coarse on the nonlinear
+        # systems are elementwise IEEE-754 arithmetic only, so those digests
+        # hold on any host. Like the verify report below, the toy's bits are
+        # set by BLAS's matrix-vector product and scipy's exponential, so a
         # different BLAS build may move them.
-        code, _ = run_to_file(
-            tmp_path, "pinned.csv", "sweep-dt", "--system", "toy", "--fine", "euler",
-            "--epsilons", "1e-2", "--T", "1", "--workers", workers,
-        )
-        assert code == 0
-        data = (tmp_path / "pinned.csv").read_bytes()
-        assert hashlib.sha256(data).hexdigest() == (
-            "56f9a1abb35005093f6b316228edd29d452a4807c6ee827cd24b918b13f7c74d"
-        )
+        assert main(command.split()) == 0
+        stdout = capsys.readouterr().out.encode()
+        assert hashlib.sha256(stdout).hexdigest() == CORPUS[command]
 
     def test_verify_report_bytes_pinned(self, capsys):
         # Unlike the CSVs above, the report prints round-off figures of
@@ -473,6 +412,25 @@ class TestValidationErrors:
         assert captured.out == ""
         assert "error: out of memory" in captured.err
         assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-k", "--dt", "1e-300", "--epsilons", "1e-2"],
+            ["sweep-k", "--T", "1e15", "--dt", "1e-3", "--epsilons", "1e-2",
+             "--kmax", "1"],
+            ["sweep-dt", "--dts", "1e-300"],
+            ["speedup", "--dt", "1e-300"],
+        ],
+        ids=["sweep-k-dt", "sweep-k-T", "sweep-dt", "speedup"],
+    )
+    def test_lattice_numpy_cannot_represent_exits_1(self, capsys, argv):
+        # Rejected with the config, before the metadata and any pool.
+        assert main([*argv, "--workers", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: t_final/dt = ")
 
     @pytest.mark.parametrize("system", ["toy", "quadratic"])
     def test_infinite_epsilon_exits_1(self, capsys, system):

@@ -1,4 +1,6 @@
 import multiprocessing
+import time
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -118,6 +120,29 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             toy_config(AlgorithmVariant.MATCHING, 1, epsilons=())
 
+    @pytest.mark.parametrize(
+        "t_final, dt, kmax",
+        [(10.0, 1e-300, 2), (1e15, 1e-3, 1)],
+        ids=["tiny-dt", "long-horizon"],
+    )
+    def test_lattice_numpy_cannot_represent_is_rejected(self, t_final, dt, kmax):
+        with pytest.raises(ValueError, match=r"t_final/dt = .* n_iterations"):
+            PararealConfig(
+                system=builtin_toy(1e-2), t_final=t_final, dt=dt,
+                n_iterations=kmax, variant=AlgorithmVariant.MATCHING, u0=U0,
+            )
+
+    def test_lattice_size_counts_the_grid_members(self):
+        # 10^17 + 1 toy states of 24 bytes fit numpy's byte range; four
+        # members' worth do not.
+        config = partial(
+            PararealConfig, system=builtin_toy(1e-2), t_final=1e14, dt=1e-3,
+            n_iterations=0, variant=AlgorithmVariant.MATCHING, u0=U0,
+        )
+        assert config(epsilons=(1e-2,) * 3).n_intervals == 10**17
+        with pytest.raises(ValueError, match="too large for numpy"):
+            config(epsilons=(1e-2,) * 4)
+
     def test_grid_members_differ_only_in_epsilon(self):
         cfg = toy_config(AlgorithmVariant.MATCHING, 1, epsilons=[1e-3, 1e-4])
         assert [m.epsilon for m in cfg.members] == [1e-3, 1e-4]
@@ -169,15 +194,11 @@ class TestIterationStructure:
         cfg = toy_config(
             AlgorithmVariant.MATCHING, 3, epsilons=epsilons, with_reference=False
         )
-        pool = worker_pool(workers) if workers > 1 else None
-        try:
+        with worker_pool(workers) if workers > 1 else nullcontext() as pool:
             r = init_sweep(cfg)
             for k in range(cfg.n_iterations):
                 parareal_iteration(r, workers=workers, pool=pool)
                 assert r.rows_filled == k + 2
-        finally:
-            if pool is not None:
-                pool.shutdown()
         whole = run(cfg)
         assert r.u.tobytes() == whole.u.tobytes()
         assert r.x.tobytes() == whole.x.tobytes()
@@ -318,15 +339,32 @@ class TestWorkerInvariance:
             micro_kind="euler", substep=1e-4,
         )
         plain, grid = config(), config(epsilons=(1e-2, 1e-3))
-        pool = worker_pool(2)
-        try:
+        with worker_pool(2) as pool:
             for cfg in (plain, grid):
                 shared, alone = run(cfg, workers=2, pool=pool), run(cfg)
                 assert np.array_equal(shared.u, alone.u)
                 assert np.array_equal(shared.reference, alone.reference)
             assert pool.submit(abs, -1).result() == 1
-        finally:
-            pool.shutdown()
+
+    def test_slabs_without_a_pool_are_the_one_worker_row(self):
+        # workers is the slab count with or without a pool.
+        config = toy_config(AlgorithmVariant.MATCHING, 2, with_reference=False)
+        one, three = init_sweep(config), init_sweep(config)
+        rows = []
+
+        class CountingMicro:
+            def step(self, states):
+                rows.append(len(states))
+                return config.micro_prop.step(states)
+
+        three.micro_prop = CountingMicro()
+        for k in range(2):
+            parareal_iteration(one)
+            parareal_iteration(three, workers=3)
+            assert three.u[k + 1].tobytes() == one.u[k + 1].tobytes()
+            assert len(three.timings.fine_wall) == k + 1
+            assert len(three.timings.fine_task_seconds) == k + 1
+        assert rows == [34, 33, 33] * 2
 
     def test_task_timings_recorded_per_iteration(self):
         r = run(toy_config(AlgorithmVariant.MATCHING, 2))
@@ -527,6 +565,23 @@ class TestEpsilonGrid:
             assert grid.u[:, :, i].tobytes() == plain.u.tobytes()
             assert grid.x[:, :, i].tobytes() == plain.x.tobytes()
             assert grid.reference[:, i].tobytes() == plain.reference.tobytes()
+
+
+class TestWorkerPool:
+    def test_exit_cancels_queued_tasks_and_joins_workers(self):
+        # Two workers cannot start forty tasks before the block raises: the
+        # tasks still queued are cancelled, the few already handed out (one
+        # per worker and the executor's call queue of workers + 1) run to
+        # their end, and no worker outlives the block.
+        workers = 2
+        with pytest.raises(RuntimeError, match="stop"):
+            with worker_pool(workers) as pool:
+                futures = [pool.submit(time.sleep, 0.2) for _ in range(40)]
+                raise RuntimeError("stop")
+        started = [f for f in futures if not f.cancelled()]
+        assert len(started) <= 2 * workers + 1
+        assert all(f.result() is None for f in started)
+        assert multiprocessing.active_children() == []
 
 
 class TestClassicParareal:
