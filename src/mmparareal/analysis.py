@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import engine, linalg
 from .engine import PararealConfig, PararealRun
-from .propagators import _matvec, make_micro, micro_reference_trajectory
+from .propagators import _matvec, make_micro, micro_reference_trajectory, orbit
 from .systems import LinearFastSlowSystem
 
 # Relative errors below this are treated as machine-precision noise.
@@ -243,11 +244,7 @@ def lemma_diagnostics(
     decay_step = np.stack(
         [linalg.mat_exp(-m.A * (h / eps)) for eps, m in zip(eps_values, members)]
     )
-    z_layer = np.empty_like(z)
-    z_layer[0] = w = z0
-    for j in range(LEMMA_N_GRID):
-        w = _matvec(decay_step, w)
-        z_layer[j + 1] = w
+    z_layer = orbit(partial(_matvec, decay_step), z0, LEMMA_N_GRID)
 
     lam = np.array([m.macro_rate() for m in members])
     ratios = {

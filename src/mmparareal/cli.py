@@ -294,8 +294,9 @@ def _write_output(text: str, out: str):
 
 
 def _print_metadata(spec: Namespace, epsilons: list):
-    """Run metadata on stderr, naming the dt (or dts) and epsilons that run."""
+    """Run metadata on stderr: the dt (or dts), substep and epsilons that run."""
     step = f"dts={spec.dts!r}" if spec.command == "sweep-dt" else f"dt={spec.dt!r}"
+    substep = None if spec.fine == "exact" else spec.delta_t_fine
     print(
         f"# system={spec.system} algorithm={spec.algorithm} "
         f"coarse={spec.coarse} fine={spec.fine}",
@@ -303,7 +304,7 @@ def _print_metadata(spec: Namespace, epsilons: list):
     )
     print(
         f"# u0={spec.u0} T={spec.T!r} {step} "
-        f"substep={spec.delta_t_fine} kmax={spec.kmax}",
+        f"substep={substep} kmax={spec.kmax}",
         file=sys.stderr,
     )
     print(f"# epsilons={epsilons!r}", file=sys.stderr)

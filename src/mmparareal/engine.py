@@ -49,6 +49,7 @@ ascending n, so lattices are bit-identical for any worker count.
 from __future__ import annotations
 
 import dataclasses
+import operator
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, nullcontext
@@ -65,6 +66,7 @@ from .propagators import (
     make_macro,
     make_micro,
     micro_reference_trajectory,
+    orbit,
     step_count,
 )
 from .systems import NonlinearFastSlowSystem
@@ -184,14 +186,12 @@ def init_sweep(config: PararealConfig) -> PararealRun:
     x = np.full((k_max + 1, n + 1, *grid, system.slow_dim), np.nan)
 
     u[0][0] = config.u0
-    x0 = x[0]
-    x0[0] = tset.restrict(config.u0)
+    x[0][0] = tset.restrict(config.u0)
     try:
-        for j in range(n):
-            x0[j + 1] = macro.step(x0[j])
+        x[0] = orbit(macro.step, x[0][0], n)
     except NonFiniteStateError as exc:
         raise NonFiniteStateError(f"{exc}; init sweep, dt={config.dt!r}") from exc
-    u[0][1:] = tset.lift(x0[1:])
+    u[0][1:] = tset.lift(x[0][1:])
 
     return PararealRun(
         config=config,
@@ -328,32 +328,29 @@ def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
         pool.shutdown(cancel_futures=True)
 
 
+def plain_parareal(fine, coarse, row0, k_max: int) -> np.ndarray:
+    """Plain parareal from row 0, u[k+1][n+1] = F(u[k][n]) + G(u[k+1][n]) -
+    G(u[k][n]) summed in that order, one state at a time in ascending n: the
+    (k_max+1, *row0.shape) lattice, every row starting at row0[0]."""
+    u = np.empty((k_max + 1, *np.shape(row0)))
+    u[0] = row0
+    u[:, 0] = u[0][0]
+    for k in range(k_max):
+        for j in range(len(row0) - 1):
+            u[k + 1][j + 1] = fine(u[k][j]) + coarse(u[k + 1][j]) - coarse(u[k][j])
+    return u
+
+
 def classic_parareal(
     rho_fine: float, rho_coarse: float, u0: float, n_steps: int, k_max: int
 ) -> np.ndarray:
-    """Plain scalar parareal baseline.
-
-    Runs u[k+1][n+1] = G u[k+1][n] + F u[k][n] - G u[k][n] for the scalar
-    linear problem with fine multiplier rho_fine and coarse multiplier
-    rho_coarse, and returns |u[k][n] - rho_fine^n u0| with shape
-    (k_max+1, n_steps+1).
+    """Plain scalar parareal baseline: plain_parareal's error table for the
+    scalar linear problem with fine multiplier rho_fine and coarse multiplier
+    rho_coarse, |u[k][n] - rho_fine^n u0| with shape (k_max+1, n_steps+1).
     """
     if n_steps < 1 or k_max < 0:
         raise ValueError("need n_steps >= 1 and k_max >= 0")
     # Sequential products, so rho_fine = rho_coarse leaves exactly zero error.
-    ref = np.empty(n_steps + 1)
-    ref[0] = u0
-    for j in range(n_steps):
-        ref[j + 1] = rho_fine * ref[j]
-    u = np.empty((k_max + 1, n_steps + 1))
-    u[:, 0] = u0
-    for j in range(n_steps):
-        u[0][j + 1] = rho_coarse * u[0][j]
-    for k in range(k_max):
-        for j in range(n_steps):
-            u[k + 1][j + 1] = (
-                rho_coarse * u[k + 1][j]
-                + rho_fine * u[k][j]
-                - rho_coarse * u[k][j]
-            )
-    return np.abs(u - ref)
+    fine, coarse = partial(operator.mul, rho_fine), partial(operator.mul, rho_coarse)
+    row0 = orbit(coarse, u0, n_steps)
+    return np.abs(plain_parareal(fine, coarse, row0, k_max) - orbit(fine, u0, n_steps))

@@ -386,16 +386,21 @@ def make_macro(system, dt: float, kind: str = "exact"):
     raise ValueError(f"unknown macro propagator kind {kind!r}")
 
 
+def orbit(step, u0, n: int) -> np.ndarray:
+    """[u0, step(u0), ..., step^n(u0)] as an (n+1, *u0.shape) float array;
+    each step takes the array the previous step returned."""
+    u = np.asarray(u0, dtype=float)
+    out = np.empty((n + 1, *u.shape))
+    out[0] = u
+    for j in range(n):
+        u = step(u)
+        out[j + 1] = u
+    return out
+
+
 def micro_reference_trajectory(prop, u0: np.ndarray, n: int) -> np.ndarray:
     """[u0, F(u0), ..., F^n(u0)], computed strictly sequentially; an
     (E, d) u0 of a grid propagator gives an (n+1, E, d) trajectory."""
     if n < 0:
         raise ValueError("n must be nonnegative")
-    u0 = np.asarray(u0, dtype=float)
-    out = np.empty((n + 1, *u0.shape))
-    out[0] = u0
-    u = u0
-    for j in range(n):
-        u = prop.step(u)
-        out[j + 1] = u
-    return out
+    return orbit(prop.step, u0, n)

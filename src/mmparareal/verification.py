@@ -13,13 +13,14 @@ check has teeth.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import analysis, engine, linalg
 from .analysis import TOY_U0
 from .engine import AlgorithmVariant, PararealConfig
-from .propagators import make_micro
+from .propagators import make_micro, orbit
 from .systems import builtin_brusselator, builtin_toy
 from .transfer import TransferSet, transfer_for
 
@@ -59,6 +60,37 @@ def _consistency_violation(run) -> float:
     s = run.config.system.slow_dim
     gap = np.abs(run.x - run.u[:, :, :s])
     return float(np.max(gap / (1.0 + np.abs(run.x))))
+
+
+def _matching_deviation(run) -> float:
+    """max |plain parareal - u| / (1 + |u|) over a MATCHING run of a linear
+    system with exact propagators: MATCHING is plain parareal with fine
+    propagator F and coarse propagator embed . C . restrict, started from
+    the lifted coarse sweep."""
+    config, tset = run.config, run.transfer
+    phi, rho = run.micro_prop.phi, run.macro_prop.rho
+
+    def coarse_embedded(u):
+        out = np.zeros(config.system.dim)
+        out[0] = rho * u[0]
+        return out
+
+    row0 = orbit(lambda u: tset.lift(rho * u[:1]), config.u0, config.n_intervals)
+    u = engine.plain_parareal(
+        partial(np.matmul, phi), coarse_embedded, row0, config.n_iterations
+    )
+    return float(np.max(np.abs(u - run.u) / (1.0 + np.abs(run.u))))
+
+
+def _lifting_structure_defect(run) -> float:
+    """max |e - predicted| over a LIFTING run of a linear system: lifting
+    rebuilds every state through L, so the micro error e splits into the
+    lifted macro error minus the off-manifold part of the reference."""
+    tset, ref = run.transfer, run.reference[1:]
+    e = run.u[:, 1:] - ref
+    off_manifold = ref - tset.lift(tset.restrict(ref))
+    predicted = tset.lift(run.x[:, 1:] - ref[:, :1]) - off_manifold
+    return float(np.max(np.abs(e - predicted)))
 
 
 def check_toy_macro_rate():
@@ -203,43 +235,12 @@ def check_error_recursion():
 
 
 def check_lifting_structure():
-    # Lifting rebuilds every state through L, so the micro error splits into
-    # the lifted macro error minus the off-manifold part of the reference.
-    run = _toy_run(AlgorithmVariant.LIFTING)
-    tset, ref = run.transfer, run.reference[1:]
-    e = run.u[:, 1:] - ref
-    off_manifold = ref - tset.lift(tset.restrict(ref))
-    predicted = tset.lift(run.x[:, 1:] - ref[:, :1]) - off_manifold
-    worst = float(np.max(np.abs(e - predicted)))
+    worst = _lifting_structure_defect(_toy_run(AlgorithmVariant.LIFTING))
     return worst <= 1e-10, f"worst structure defect {worst:.2e} (<= 1e-10)"
 
 
 def check_matching_equals_plain_parareal():
-    # The matching variant is plain parareal with fine propagator F and
-    # coarse propagator embed . C . restrict; iterate that form directly.
-    run = _toy_run(AlgorithmVariant.MATCHING)
-    config = run.config
-    phi = run.micro_prop.phi
-    rho = run.macro_prop.rho
-    n, kmax, d = config.n_intervals, config.n_iterations, config.system.dim
-
-    def coarse_embedded(u):
-        out = np.zeros(d)
-        out[0] = rho * u[0]
-        return out
-
-    u = np.full((kmax + 1, n + 1, d), np.nan)
-    u[:, 0] = config.u0
-    for j in range(n):
-        u[0][j + 1] = run.transfer.lift(rho * u[0][j][:1])
-    for k in range(kmax):
-        for j in range(n):
-            u[k + 1][j + 1] = (
-                phi @ u[k][j]
-                + coarse_embedded(u[k + 1][j])
-                - coarse_embedded(u[k][j])
-            )
-    worst = float(np.max(np.abs(u - run.u) / (1.0 + np.abs(run.u))))
+    worst = _matching_deviation(_toy_run(AlgorithmVariant.MATCHING))
     return worst <= 1e-12, f"worst deviation {worst:.2e} (<= 1e-12 relative)"
 
 

@@ -216,6 +216,19 @@ class TestDeterminism:
         assert "dt=0.1 " in err
         assert "epsilons=[0.001, 0.01]\n" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--delta-t-fine", "0.03"]],
+                             ids=["no-substep", "substep-given"])
+    def test_exact_fine_metadata_shows_no_substep(self, capsys, extra):
+        # An exact fine propagator steps no substeps, so a given one is not
+        # echoed as if it ran; the CSV bytes are those without the option.
+        assert main(["sweep-k", "--fine", "exact", *extra, "--epsilons", "1e-2",
+                     "--T", "1", "--kmax", "1", "--workers", "1"]) == 0
+        captured = capsys.readouterr()
+        assert " substep=None kmax=1\n" in captured.err
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+            "2233e99d9a1629bb0a1c102b98b7a280e08b66755e6d6767df013b5bf336bdcd"
+        )
+
 
 def _emit_tables_rowwise(tables, all_times):
     # The row-by-row writer that cli._emit_tables replaced, kept as its oracle.
@@ -502,9 +515,13 @@ class TestValidationErrors:
             (["--system", "brusselator", "--fine", "exact"], None, "linear"),
             ([], {"coarse": "rk7"}, "kind"),
             (["--kmax", "-1"], None, "kmax must be >= 0"),
+            # An exact fine propagator steps no substep, but one given is
+            # still checked.
+            (["--fine", "exact", "--delta-t-fine", "-1"], None,
+             "delta-t-fine must be positive"),
         ],
         ids=["inexact-substep", "dae-nonlinear", "exact-fine-nonlinear",
-             "unknown-coarse", "negative-kmax"],
+             "unknown-coarse", "negative-kmax", "exact-fine-negative-substep"],
     )
     def test_config_rejected_before_metadata_and_runs(
         self, tmp_path, capsys, monkeypatch, command, argv, config, match

@@ -1,3 +1,4 @@
+import hashlib
 import multiprocessing
 import time
 from contextlib import nullcontext
@@ -15,10 +16,11 @@ from mmparareal.engine import (
     classic_parareal,
     init_sweep,
     parareal_iteration,
+    plain_parareal,
     run,
     worker_pool,
 )
-from mmparareal.propagators import NonFiniteStateError
+from mmparareal.propagators import NonFiniteStateError, orbit
 from mmparareal.systems import builtin_brusselator, builtin_quadratic, builtin_toy
 
 U0 = np.array([1.0, 0.0, 0.0])
@@ -584,7 +586,44 @@ class TestWorkerPool:
         assert multiprocessing.active_children() == []
 
 
+# A contracting rotation and a cruder one, as fine and coarse steps on R^2.
+FINE_2D = np.array([[0.9, -0.2], [0.2, 0.9]])
+COARSE_2D = np.array([[0.8, -0.1], [0.3, 0.85]])
+
+
+class TestPlainParareal:
+    def test_fine_equal_to_coarse_leaves_row_zero(self):
+        step = partial(np.matmul, FINE_2D)
+        row0 = orbit(step, [1.0, -0.5], 12)
+        u = plain_parareal(step, step, row0, 4)
+        assert u.shape == (5, 13, 2)
+        assert all(np.array_equal(row, row0) for row in u)
+
+    def test_rows_reach_the_fine_orbit_in_k_steps(self):
+        fine, coarse = partial(np.matmul, FINE_2D), partial(np.matmul, COARSE_2D)
+        u = plain_parareal(fine, coarse, orbit(coarse, [1.0, -0.5], 10), 10)
+        ref = orbit(fine, [1.0, -0.5], 10)
+        for k in range(11):
+            assert np.max(np.abs(u[k][: k + 1] - ref[: k + 1])) <= 1e-15, k
+        assert np.max(np.abs(u[3][4:] - ref[4:])) > 1e-6
+
+
 class TestClassicParareal:
+    @pytest.mark.parametrize("args, digest", [
+        ((0.9, 0.9, 1.0, 20, 3),
+         "f792b7f860bb94e55760c0daa727d58d13ba96276a2b52f29a645c8e08e73ec1"),
+        ((0.9, 0.8, 1.0, 50, 6),
+         "2cd76d4953cd11bd6bdad246b5995361762069fab79e7959b7b5d8b4aacf92b9"),
+        ((0.95, 0.9, 2.0, 100, 10),
+         "14e44dbf7612b47edc7218e151b9104578a09115ebb7ab75280173f79c02c4cb"),
+    ], ids=["equal", "n50-k6", "n100-k10"])
+    def test_tables_pinned(self, args, digest):
+        # Scalar IEEE-754 multiplies and adds only, so the bits hold on any
+        # host; recorded before the table went through plain_parareal.
+        table = classic_parareal(*args)
+        assert table.shape == (args[4] + 1, args[3] + 1)
+        assert hashlib.sha256(table.tobytes()).hexdigest() == digest
+
     def test_identical_propagators_give_zero_error(self):
         table = classic_parareal(0.9, 0.9, 1.0, n_steps=8, k_max=3)
         assert np.all(table == 0.0)

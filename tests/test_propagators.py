@@ -24,6 +24,7 @@ from mmparareal.propagators import (
     make_macro,
     make_micro,
     micro_reference_trajectory,
+    orbit,
 )
 from mmparareal.systems import (
     NonlinearFastSlowSystem,
@@ -839,6 +840,39 @@ class TestFactories:
     def test_euler_micro_default_substep(self):
         prop = make_micro(builtin_toy(1e-2), 0.1, kind="euler")
         assert prop.h == pytest.approx(DEFAULT_SUBSTEP, rel=1e-9)
+
+
+def _no_step(u):
+    raise AssertionError("step called")
+
+
+class TestOrbit:
+    def test_each_step_takes_the_array_the_last_step_returned(self):
+        seen, returned = [], []
+
+        def step(u):
+            seen.append(u)
+            returned.append(2.0 * u)
+            return returned[-1]
+
+        u0 = np.array([1.0, -3.0])
+        traj = orbit(step, u0, 4)
+        assert seen[0] is u0
+        assert all(a is b for a, b in zip(seen[1:], returned))
+        assert traj.tolist() == [[1.0, -3.0], [2.0, -6.0], [4.0, -12.0],
+                                 [8.0, -24.0], [16.0, -48.0]]
+
+    def test_zero_steps_return_one_row(self):
+        traj = orbit(_no_step, [1.0, 2.0], 0)
+        assert traj.shape == (1, 2)
+        assert traj.dtype == np.float64
+        assert traj.tolist() == [[1.0, 2.0]]
+
+    def test_grid_start_gives_a_grid_orbit(self):
+        starts = np.arange(6.0).reshape(3, 2)
+        traj = orbit(lambda u: u + 1.0, starts, 5)
+        assert traj.shape == (6, 3, 2)
+        assert np.array_equal(traj[5], starts + 5.0)
 
 
 class TestReferenceTrajectory:

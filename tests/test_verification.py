@@ -2,9 +2,12 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from mmparareal import engine, verification
-from mmparareal.engine import AlgorithmVariant, _fine_slab
+from mmparareal.engine import AlgorithmVariant, PararealConfig, _fine_slab
+from mmparareal.systems import LinearFastSlowSystem
 from mmparareal.transfer import TransferSet
 
 
@@ -134,3 +137,83 @@ class TestRowChecksCanFail:
         ok, detail = verification.check_match_lipschitz()
         assert not ok
         assert "worst Lipschitz ratio 1.4" in detail
+
+
+@st.composite
+def linear_systems(draw):
+    """A LinearFastSlowSystem with 1-5 fast components and an initial state.
+
+    A = M M^T + c I, plus a strictly upper-triangular part in half the draws
+    so that A is not normal; a draw whose A has an eigenvalue with real part
+    <= 0 is rejected by the constructor and so by the strategy.
+    """
+    m = draw(st.integers(1, 5))
+
+    def vector(size, scale=1.0):
+        return scale * np.array(draw(st.lists(
+            st.floats(-1.0, 1.0), min_size=size, max_size=size)))
+
+    base = vector(m * m).reshape(m, m)
+    a = base @ base.T + draw(st.floats(0.1, 2.0)) * np.eye(m)
+    if draw(st.booleans()):
+        a += np.triu(vector(m * m, 2.0).reshape(m, m), 1)
+    try:
+        system = LinearFastSlowSystem(
+            alpha=draw(st.floats(-2.0, 0.5)), p=vector(m), q=vector(m), A=a,
+            epsilon=draw(st.sampled_from([1e-3, 1e-2, 1e-1])),
+        )
+    except ValueError:
+        reject()
+    return system, vector(m + 1, 2.0)
+
+
+def _random_run(drawn, variant):
+    system, u0 = drawn
+    return engine.run(PararealConfig(
+        system=system, t_final=2.0, dt=0.1, n_iterations=5, variant=variant,
+        u0=u0,
+    ))
+
+
+def _ref_scale(run) -> float:
+    """max |ref|: the scale for verify's absolute thresholds."""
+    return float(np.max(np.abs(run.reference)))
+
+
+class TestInvariantsOnRandomLinearSystems:
+    # verify's thresholds, on random linear systems with exact propagators.
+    # The recursion and lifting-structure thresholds are absolute in verify
+    # (the toy's max |ref| is 1), so here they scale with max |ref|.
+    @settings(max_examples=60)
+    @given(linear_systems())
+    def test_lattices_are_consistent(self, drawn):
+        for variant in (AlgorithmVariant.LIFTING, AlgorithmVariant.MATCHING):
+            run = _random_run(drawn, variant)
+            assert verification._consistency_violation(run) <= 1e-13
+
+    @settings(max_examples=60)
+    @given(linear_systems())
+    def test_local_exactness(self, drawn):
+        for variant in (AlgorithmVariant.MATCHING, AlgorithmVariant.DAE_COARSE):
+            run = _random_run(drawn, variant)
+            assert verification._exactness_defect(run) <= 1e-12
+
+    @settings(max_examples=60)
+    @given(linear_systems())
+    def test_error_recursion(self, drawn):
+        for variant in (AlgorithmVariant.LIFTING, AlgorithmVariant.MATCHING):
+            run = _random_run(drawn, variant)
+            assert verification._recursion_defect(run) <= 1e-10 * _ref_scale(run)
+
+    @settings(max_examples=60)
+    @given(linear_systems())
+    def test_lifting_structure(self, drawn):
+        run = _random_run(drawn, AlgorithmVariant.LIFTING)
+        defect = verification._lifting_structure_defect(run)
+        assert defect <= 1e-10 * _ref_scale(run)
+
+    @settings(max_examples=60)
+    @given(linear_systems())
+    def test_matching_is_plain_parareal(self, drawn):
+        run = _random_run(drawn, AlgorithmVariant.MATCHING)
+        assert verification._matching_deviation(run) <= 1e-12
