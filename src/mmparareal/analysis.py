@@ -46,20 +46,12 @@ class ErrorTable:
     dt: float
     t_final: float
     n_intervals: int
-    n_iterations: int
     abs_macro: np.ndarray   # (K+1, N+1) |x[k][n] - restrict(ref[n])|
     abs_micro: np.ndarray   # (K+1, N+1) ||u[k][n] - ref[n]||
     rel_macro: np.ndarray
     rel_micro: np.ndarray
     macro_denominator: float
     micro_denominator: float
-
-    def final_relative(self, k: int, which: str) -> float:
-        if which == "macro":
-            return float(self.rel_macro[k, -1])
-        if which == "micro":
-            return float(self.rel_micro[k, -1])
-        raise ValueError(f"which must be 'macro' or 'micro', got {which!r}")
 
 
 def compute_errors(
@@ -98,7 +90,6 @@ def compute_errors(
         dt=config.dt,
         t_final=config.t_final,
         n_intervals=config.n_intervals,
-        n_iterations=config.n_iterations,
         abs_macro=abs_macro,
         abs_micro=abs_micro,
         rel_macro=abs_macro / macro_denom,
@@ -110,8 +101,6 @@ def compute_errors(
 
 @dataclass(eq=False)
 class SlopeFit:
-    xs: np.ndarray
-    ys: np.ndarray
     slope: float
     intercept: float
     n_points: int
@@ -128,19 +117,11 @@ def fit_slope(xs, ys, floor: float = DEFAULT_FLOOR) -> SlopeFit:
     if np.any(xs <= 0):
         raise ValueError("abscissas must be positive")
     keep = ys > floor
-    if np.count_nonzero(keep) < 2:
-        raise TooFewPointsError(
-            f"only {np.count_nonzero(keep)} point(s) above floor {floor:g}"
-        )
-    xs_used, ys_used = xs[keep], ys[keep]
-    slope, intercept = np.polyfit(np.log(xs_used), np.log(ys_used), 1)
-    return SlopeFit(
-        xs=xs_used,
-        ys=ys_used,
-        slope=float(slope),
-        intercept=float(intercept),
-        n_points=int(xs_used.size),
-    )
+    n_points = int(np.count_nonzero(keep))
+    if n_points < 2:
+        raise TooFewPointsError(f"only {n_points} point(s) above floor {floor:g}")
+    slope, intercept = np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)
+    return SlopeFit(slope=float(slope), intercept=float(intercept), n_points=n_points)
 
 
 def experiment_table(

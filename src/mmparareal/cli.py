@@ -439,7 +439,3 @@ def main(argv=None) -> int:
 
 def entry_point():
     sys.exit(main())
-
-
-if __name__ == "__main__":
-    entry_point()

@@ -250,7 +250,7 @@ class EulerMicro:
     """Explicit Euler substepping of the full right-hand side, for one
     system or a tuple of grid members."""
 
-    def __init__(self, system, dt: float, substep: float = DEFAULT_SUBSTEP):
+    def __init__(self, system, dt: float, substep: float):
         self.dt = float(dt)
         if not (substep > 0):
             raise ValueError("substep must be positive")

@@ -278,22 +278,22 @@ def test_criterion_06_lifting_variant_rates(lifting_tables):
     eps = np.array(EPS_GRID)
     macro = {
         k: fit_slope(
-            eps, [lifting_tables[e].final_relative(k, "macro") for e in EPS_GRID]
+            eps, [lifting_tables[e].rel_macro[k, -1] for e in EPS_GRID]
         ).slope
         for k in (1, 2)
     }
     micro = {
         k: fit_slope(
-            eps, [lifting_tables[e].final_relative(k, "micro") for e in EPS_GRID]
+            eps, [lifting_tables[e].rel_micro[k, -1] for e in EPS_GRID]
         ).slope
         for k in (0, 1, 2)
     }
     overlap = max(
         abs(
-            lifting_tables[e].final_relative(1, "macro")
-            - lifting_tables[e].final_relative(2, "macro")
+            lifting_tables[e].rel_macro[1, -1]
+            - lifting_tables[e].rel_macro[2, -1]
         )
-        / lifting_tables[e].final_relative(1, "macro")
+        / lifting_tables[e].rel_macro[1, -1]
         for e in EPS_GRID
     )
     ok = (
@@ -317,10 +317,10 @@ def test_criterion_07_matching_variant_rates(matching_tables):
     macro, micro = {}, {}
     for k in range(5):
         macro[k] = fit_slope(
-            eps, [matching_tables[e].final_relative(k, "macro") for e in EPS_GRID]
+            eps, [matching_tables[e].rel_macro[k, -1] for e in EPS_GRID]
         ).slope
         micro[k] = fit_slope(
-            eps, [matching_tables[e].final_relative(k, "micro") for e in EPS_GRID]
+            eps, [matching_tables[e].rel_micro[k, -1] for e in EPS_GRID]
         ).slope
     ok = all(
         abs(macro[k] - (1 + math.ceil(k / 2))) <= 0.3
@@ -344,10 +344,10 @@ def test_criterion_08_dae_coarse_variant_rates(dae_tables):
     macro, micro = {}, {}
     for k in range(4):
         macro[k] = fit_slope(
-            eps, [dae_tables[e].final_relative(k, "macro") for e in EPS_GRID]
+            eps, [dae_tables[e].rel_macro[k, -1] for e in EPS_GRID]
         ).slope
         micro[k] = fit_slope(
-            eps, [dae_tables[e].final_relative(k, "micro") for e in EPS_GRID]
+            eps, [dae_tables[e].rel_micro[k, -1] for e in EPS_GRID]
         ).slope
     ok = all(
         abs(macro[k] - (k + 1)) <= 0.3 and abs(micro[k] - (k + 1)) <= 0.3
@@ -388,7 +388,7 @@ def test_criterion_09_step_size_dependence(dt_tables):
     dts = np.array([0.2, 0.1, 0.05, 0.025])
     slopes = {}
     for k in (1, 2, 3):
-        errs = [dt_tables[dt].final_relative(k, "macro") for dt in dts]
+        errs = [dt_tables[dt].rel_macro[k, -1] for dt in dts]
         slopes[k] = fit_slope(1.0 / dts, errs).slope
     ok = all(abs(slopes[k] - math.ceil(k / 2)) <= 0.3 for k in (1, 2, 3))
     record_criterion(
@@ -405,17 +405,17 @@ def test_criterion_09_step_size_dependence(dt_tables):
 def test_criterion_10_euler_coarse_plateau(plateau_tables):
     eps_list = [1e-5, 1e-4, 1e-3]
     ratios = {
-        e: plateau_tables[e].final_relative(8, "micro")
-        / plateau_tables[e].final_relative(5, "micro")
+        e: plateau_tables[e].rel_micro[8, -1]
+        / plateau_tables[e].rel_micro[5, -1]
         for e in eps_list
     }
     macro_slope = fit_slope(
         np.array(eps_list),
-        [plateau_tables[e].final_relative(8, "macro") for e in eps_list],
+        [plateau_tables[e].rel_macro[8, -1] for e in eps_list],
     ).slope
     micro_slope = fit_slope(
         np.array(eps_list),
-        [plateau_tables[e].final_relative(8, "micro") for e in eps_list],
+        [plateau_tables[e].rel_micro[8, -1] for e in eps_list],
     ).slope
     ok = (
         all(0.5 <= ratios[e] <= 2.0 for e in eps_list)
@@ -438,7 +438,7 @@ def test_criterion_11_matching_euler_coarse_floor():
     for eps in (1e-4, 1e-3):
         table = _toy_table(2, eps, kmax=30, coarse="euler")
         mins[eps] = min(
-            table.final_relative(k, "micro") for k in range(31)
+            table.rel_micro[k, -1] for k in range(31)
         )
     ok = all(v <= 1e-10 for v in mins.values())
     record_criterion(
@@ -476,7 +476,7 @@ def test_criterion_12_scalar_parareal_baseline():
 
 def test_criterion_13a_quadratic_errors_decrease(quadratic_tables):
     finals = {
-        eps: [quadratic_tables[eps].final_relative(k, "micro") for k in range(5)]
+        eps: [quadratic_tables[eps].rel_micro[k, -1] for k in range(5)]
         for eps in (1e-4, 1e-3)
     }
     ok = all(
@@ -499,7 +499,7 @@ def test_criterion_13b_quadratic_order_grows(quadratic_rk4_tables):
     slopes = {
         k: fit_slope(
             eps,
-            [quadratic_rk4_tables[e].final_relative(k, "micro") for e in eps],
+            [quadratic_rk4_tables[e].rel_micro[k, -1] for e in eps],
         ).slope
         for k in (0, 2)
     }
@@ -566,7 +566,7 @@ def test_criterion_14b_brusselator_order_grows(brusselator_rk4_tables):
     slopes = {
         k: fit_slope(
             eps,
-            [brusselator_rk4_tables[e].final_relative(k, "micro") for e in eps],
+            [brusselator_rk4_tables[e].rel_micro[k, -1] for e in eps],
             floor=BRUSSELATOR_FIT_FLOOR,
         ).slope
         for k in (1, 3)

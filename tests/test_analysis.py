@@ -105,6 +105,21 @@ class TestComputeErrors:
         with pytest.raises(ValueError):
             compute_errors(r)
 
+    def test_vanishing_reference_rejected(self):
+        # From u0 = 0 the reference stays at 0, so no relative error exists.
+        r = run(
+            PararealConfig(
+                system=builtin_toy(1e-2),
+                t_final=1.0,
+                dt=0.1,
+                n_iterations=1,
+                variant=AlgorithmVariant.MATCHING,
+                u0=np.zeros(3),
+            )
+        )
+        with pytest.raises(ValueError, match="reference vanishes at the final time"):
+            compute_errors(r)
+
     def test_errors_vanish_at_initial_time(self, matching_run):
         table = compute_errors(matching_run)
         assert np.all(table.abs_micro[:, 0] == 0.0)
@@ -124,13 +139,6 @@ class TestComputeErrors:
             np.linalg.norm(matching_run.reference[-1])
         )
 
-    def test_final_relative_accessors(self, matching_run):
-        table = compute_errors(matching_run)
-        assert table.final_relative(2, "macro") == table.rel_macro[2, -1]
-        assert table.final_relative(2, "micro") == table.rel_micro[2, -1]
-        with pytest.raises(ValueError):
-            table.final_relative(2, "slow")
-
     def test_metadata_copied(self, matching_run):
         table = compute_errors(matching_run, system_id="toy")
         assert table.system == "toy"
@@ -138,7 +146,7 @@ class TestComputeErrors:
         assert table.coarse == "exact" and table.fine == "exact"
         assert table.epsilon == 1e-2
         assert table.n_intervals == 100
-        assert table.n_iterations == 3
+        assert table.rel_micro.shape == (4, 101)
 
 
 class TestExperimentTable:
@@ -148,7 +156,7 @@ class TestExperimentTable:
             coarse="exact", fine="exact", dt=0.1, t_final=10.0, kmax=3,
             u0=TOY_U0,
         )
-        finals = [table.final_relative(k, "micro") for k in range(4)]
+        finals = [table.rel_micro[k, -1] for k in range(4)]
         assert all(b < a for a, b in zip(finals, finals[1:]))
 
 
@@ -201,7 +209,7 @@ class TestGridErrors:
 
 class TestEpsilonRate:
     """A rate in epsilon fitted as the README gives it: fit_slope over the
-    final_relative values of one grid run's tables, with dt above every
+    final-time relative errors of one grid run's tables, with dt above every
     member's boundary-layer time."""
 
     TOY_GRID = [1e-5, 1e-4, 1e-3]
@@ -222,7 +230,8 @@ class TestEpsilonRate:
         )
         assert all(m.boundary_layer_time() < config.dt for m in config.members)
         tables = grid_tables(config)
-        fit = fit_slope(self.TOY_GRID, [t.final_relative(k, which) for t in tables])
+        finals = [getattr(t, f"rel_{which}")[k, -1] for t in tables]
+        fit = fit_slope(self.TOY_GRID, finals)
         assert fit.n_points == len(self.TOY_GRID)
         assert fit.slope == pytest.approx(2.0, abs=0.3)
 
@@ -230,7 +239,7 @@ class TestEpsilonRate:
         _, epsilons, args = GRID_CASES["quadratic-euler-rk4"]
         grid = grid_run("quadratic-euler-rk4")
         tables = [compute_errors(grid, member=i) for i in range(len(epsilons))]
-        fit = fit_slope(epsilons, [t.final_relative(args["kmax"], "micro") for t in tables])
+        fit = fit_slope(epsilons, [t.rel_micro[args["kmax"], -1] for t in tables])
         assert fit.n_points == len(epsilons)
         assert fit.slope == pytest.approx(2.0, abs=0.3)
 

@@ -88,7 +88,7 @@ class TestCsvShape:
             )
             text_fields = (table.system, table.variant, table.coarse, table.fine)
             float_fields = (table.epsilon, table.dt, table.t_final)
-            for k in range(table.n_iterations + 1):
+            for k in range(len(table.abs_micro)):
                 for n in range(table.n_intervals + 1):
                     errors = (
                         table.rel_macro[k, n], table.rel_micro[k, n],
@@ -249,10 +249,10 @@ def _emit_tables_rowwise(tables, all_times):
 
 
 def _crafted_table(epsilon, lattices):
-    k1, n1 = lattices[0].shape
+    n1 = lattices[0].shape[1]
     return analysis.ErrorTable(
         system="toy", variant=2, coarse="exact", fine="exact", epsilon=epsilon,
-        dt=0.5, t_final=0.5 * (n1 - 1), n_intervals=n1 - 1, n_iterations=k1 - 1,
+        dt=0.5, t_final=0.5 * (n1 - 1), n_intervals=n1 - 1,
         rel_macro=lattices[0], rel_micro=lattices[1],
         abs_macro=lattices[2], abs_micro=lattices[3],
         macro_denominator=1.0, micro_denominator=1.0,
@@ -391,7 +391,7 @@ class TestValidationErrors:
         # OverflowError; it must be a one-line config error.
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
-            [sys.executable, "-m", "mmparareal.cli", "sweep-k", *argv,
+            [sys.executable, "-m", "mmparareal", "sweep-k", *argv,
              "--epsilons", "1e-2", "--workers", "1"],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
             timeout=120,
@@ -410,7 +410,7 @@ class TestValidationErrors:
                 "--workers", workers]
         src = str(Path(__file__).resolve().parents[1] / "src")
         proc = subprocess.run(
-            [sys.executable, "-m", "mmparareal.cli", *argv],
+            [sys.executable, "-m", "mmparareal", *argv],
             capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
             timeout=120,
         )
@@ -519,9 +519,15 @@ class TestValidationErrors:
             # still checked.
             (["--fine", "exact", "--delta-t-fine", "-1"], None,
              "delta-t-fine must be positive"),
+            (["--dt", "0"], None, "dt and T must be positive"),
+            (["--T", "-1"], None, "dt and T must be positive"),
+            ([], {"system": "foo"}, "unknown system 'foo' (choose from"),
+            ([], [1, 2], "config file must hold a JSON object"),
         ],
         ids=["inexact-substep", "dae-nonlinear", "exact-fine-nonlinear",
-             "unknown-coarse", "negative-kmax", "exact-fine-negative-substep"],
+             "unknown-coarse", "negative-kmax", "exact-fine-negative-substep",
+             "zero-dt", "negative-T", "unknown-system-in-config",
+             "config-not-an-object"],
     )
     def test_config_rejected_before_metadata_and_runs(
         self, tmp_path, capsys, monkeypatch, command, argv, config, match
@@ -555,6 +561,28 @@ class TestValidationErrors:
             argv += ["--config", str(path)]
         assert main(argv) == 1
         assert "error: could not write --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--kmax", "1.5"], "error: argument --kmax: invalid int value"),
+            (["--bogus"], "error: unrecognized arguments: --bogus"),
+            (["--system", "foo"], "error: argument --system: invalid choice"),
+            (["--workers", "0"], "error: workers must be >= 1"),
+        ],
+        ids=["kmax-not-int", "unknown-flag", "unknown-system", "zero-workers"],
+    )
+    def test_rejected_flag_exits_1_with_one_error_line(
+        self, capsys, monkeypatch, argv, message
+    ):
+        # An argparse error is a config error, exit 1, not argparse's own
+        # exit 2, which is the numerical-failure code.
+        monkeypatch.setattr(engine, "run", _no_run)
+        assert main(["sweep-k", *argv]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(message)
 
     def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "bad.json"
@@ -658,7 +686,7 @@ class TestNumericalFailure:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run(
-            [sys.executable, "-m", "mmparareal.cli", "sweep-epsilon",
+            [sys.executable, "-m", "mmparareal", "sweep-epsilon",
              "--system", "quadratic", "--epsilons", "1e-3", "--T", "0.8",
              "--kmax", "1", "--workers", "1", "--config", str(cfg)],
             capture_output=True, text=True, env=env, timeout=120,
@@ -714,7 +742,7 @@ class TestNumericalFailure:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": src}
         proc = subprocess.run(
-            [sys.executable, "-m", "mmparareal.cli", "sweep-epsilon",
+            [sys.executable, "-m", "mmparareal", "sweep-epsilon",
              "--system", "quadratic", "--epsilons", "1e-3", "--kmax", "1",
              "--workers", "1", "--config", str(cfg)],
             capture_output=True, text=True, env=env, timeout=120,

@@ -43,6 +43,16 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             toy_config(AlgorithmVariant.MATCHING, 2, dt=0.3)
 
+    @pytest.mark.parametrize("times", [{"t_final": 0.0}, {"dt": -0.1}],
+                             ids=["zero-t-final", "negative-dt"])
+    def test_nonpositive_t_final_or_dt_rejected(self, times):
+        with pytest.raises(ValueError, match="t_final and dt must be positive"):
+            PararealConfig(
+                system=builtin_toy(1e-2), n_iterations=1,
+                variant=AlgorithmVariant.MATCHING, u0=U0,
+                **{"t_final": 1.0, "dt": 0.1, **times},
+            )
+
     def test_u0_shape_checked(self):
         with pytest.raises(ValueError):
             PararealConfig(

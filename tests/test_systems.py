@@ -87,6 +87,19 @@ class TestBuiltinToy:
         with pytest.raises(ValueError):
             builtin_toy(0.0)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("alpha", math.nan, "alpha must be finite"),
+            ("p", [math.nan], "vector entries must be finite"),
+        ],
+        ids=["alpha-nan", "p-nan"],
+    )
+    def test_rejects_nonfinite_coefficients(self, field, value, match):
+        coefficients = dict(alpha=0.0, p=[1.0], q=[1.0], A=[[1.0]], epsilon=1e-2)
+        with pytest.raises(ValueError, match=match):
+            LinearFastSlowSystem(**{**coefficients, field: value})
+
     def test_rejects_unstable_fast_matrix(self):
         with pytest.raises(ValueError):
             LinearFastSlowSystem(
@@ -156,6 +169,26 @@ class TestNonlinearValidation:
                 lift_map=lambda x: np.array([x[0] + 1.0, 0.0]),
                 epsilon=1e-3,
             )
+
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"slow_dim": 0}, "slow_dim and fast_dim must be positive"),
+            ({"lift_map": lambda x: x}, "lift_map must return a full state"),
+        ],
+        ids=["no-slow-component", "lift-returns-slow-part"],
+    )
+    def test_rejects_malformed_dimensions(self, changes, match):
+        fields = dict(
+            slow_dim=1,
+            fast_dim=1,
+            micro_rhs=lambda u, eps: (0.0 * u[0], 0.0 * u[1]),
+            macro_rhs=lambda x: (-x[0],),
+            lift_map=lambda x: np.concatenate([x, np.zeros_like(x)], axis=-1),
+            epsilon=1e-3,
+        )
+        with pytest.raises(ValueError, match=match):
+            NonlinearFastSlowSystem(**{**fields, **changes})
 
     def test_micro_rhs_must_return_one_value_per_component(self):
         # On the tuple state the Euler propagator passes, u + u concatenates.
