@@ -218,7 +218,10 @@ def _build_system(spec: Namespace, epsilon: float):
 
 
 def _config(spec: Namespace, dt: float, epsilon: float, **kw) -> PararealConfig:
-    return PararealConfig(
+    """The run's config; a lattice the host cannot allocate raises numpy's
+    MemoryError here, before the metadata and any pool (np.empty touches no
+    memory)."""
+    config = PararealConfig(
         system=_build_system(spec, epsilon),
         t_final=spec.T,
         dt=dt,
@@ -230,6 +233,9 @@ def _config(spec: Namespace, dt: float, epsilon: float, **kw) -> PararealConfig:
         substep=spec.delta_t_fine,
         **kw,
     )
+    for shape in engine.lattice_shapes(config):
+        np.empty(shape)
+    return config
 
 
 def _emit_tables(tables, all_times: bool) -> str:
@@ -429,6 +435,8 @@ def main(argv=None) -> int:
         except MemoryError as exc:
             # numpy's message names the allocation: its size and shape.
             raise CliError(f"out of memory: {exc}") from exc
+        except engine.WorkerLostError as exc:
+            raise CliError(str(exc)) from exc
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,10 +9,11 @@ lattices indexed by iteration k and interval endpoint n:
 Iteration k -> k+1 proceeds in the classic predictor-corrector shape:
 
   (2a) from row k, advance every interval independently: fine endpoints
-       ubar[n+1] = F(u[k][n]) (the only parallel region: one task per
-       contiguous slab of the row, each slab stepped by one call of the
-       micro propagator on its (n, d) row, gathered in slab order) and
-       coarse predictions xbar[n+1] = C(x[k][n]);
+       ubar[n+1] = F(u[k][n]) (the only parallel region: the row is cut
+       into contiguous slabs, each stepped by one call of the micro
+       propagator on its (n, d) row and gathered in slab order; with a
+       pool, the calling process steps slab 0 and the pool's workers the
+       others) and coarse predictions xbar[n+1] = C(x[k][n]);
   (2b) jumps j[n+1] = restrict(ubar[n+1]) - xbar[n+1];
   (2c) sequential corrected sweep x[k+1][n+1] = C(x[k+1][n]) + j[n+1];
   (2d) rebuild full states, by variant:
@@ -49,16 +50,19 @@ ascending n, so lattices are bit-identical for any worker count.
 from __future__ import annotations
 
 import dataclasses
+import math
 import operator
+import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from collections import deque
+from concurrent.futures import CancelledError
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
+from multiprocessing import connection, get_context
 from typing import Iterator, Optional
 
-import multiprocessing
 import numpy as np
 
 from .propagators import (
@@ -126,9 +130,7 @@ class PararealConfig:
                 dataclasses.replace(self.system, epsilon=e) for e in self.epsilons
             )
         # numpy cannot represent a float64 lattice past its index type's range.
-        n_members = 1 if self.members is None else len(self.members)
-        states = (self.n_iterations + 1) * (self.n_intervals + 1) * n_members
-        if 8 * states * self.system.dim > np.iinfo(np.intp).max:
+        if 8 * math.prod(lattice_shapes(self)[0]) > np.iinfo(np.intp).max:
             raise ValueError(
                 f"t_final/dt = {self.n_intervals:.3g} intervals and n_iterations"
                 f" = {self.n_iterations} make a lattice too large for numpy"
@@ -141,6 +143,14 @@ class PararealConfig:
             self.dt, self.micro_kind, self.substep,
         )
         self.macro_prop = make_macro(self.system, self.dt, self.macro_kind)
+
+
+def lattice_shapes(config: PararealConfig) -> tuple:
+    """The shapes of a run's u and x lattices: (K+1, N+1, d) and
+    (K+1, N+1, s), on a grid (K+1, N+1, E, d) and (K+1, N+1, E, s)."""
+    grid = () if config.members is None else (len(config.members),)
+    lead = (config.n_iterations + 1, config.n_intervals + 1, *grid)
+    return (*lead, config.system.dim), (*lead, config.system.slow_dim)
 
 
 @dataclass
@@ -177,18 +187,13 @@ def init_sweep(config: PararealConfig) -> PararealRun:
 
     u[0][0] is the given initial condition, not its lifted slow part.
     """
-    system, macro = config.system, config.macro_prop
-    tset = transfer_for(system)
-
-    k_max, n = config.n_iterations, config.n_intervals
-    grid = () if config.members is None else (len(config.members),)
-    u = np.full((k_max + 1, n + 1, *grid, system.dim), np.nan)
-    x = np.full((k_max + 1, n + 1, *grid, system.slow_dim), np.nan)
+    macro, tset = config.macro_prop, transfer_for(config.system)
+    u, x = (np.full(shape, np.nan) for shape in lattice_shapes(config))
 
     u[0][0] = config.u0
     x[0][0] = tset.restrict(config.u0)
     try:
-        x[0] = orbit(macro.step, x[0][0], n)
+        x[0] = orbit(macro.step, x[0][0], config.n_intervals)
     except NonFiniteStateError as exc:
         raise NonFiniteStateError(f"{exc}; init sweep, dt={config.dt!r}") from exc
     u[0][1:] = tset.lift(x[0][1:])
@@ -219,10 +224,13 @@ def parareal_iteration(run: PararealRun, *, workers: int = 1, pool=None):
     try:
         # (2a) fine endpoints: pure map over `workers` slabs of row k,
         # gathered in slab order; ubar[j] is the endpoint of interval j+1.
+        # With a pool, slabs 1.. are its tasks while this process steps slab 0.
         slabs = np.array_split(run.u[k][:-1], workers)
-        mapper = map if pool is None else pool.map
+        here = len(slabs) if pool is None else 1
         t0 = time.perf_counter()
-        results = list(mapper(partial(_fine_slab, micro), slabs))
+        tasks = [pool.submit(_fine_slab, micro, slab) for slab in slabs[here:]]
+        results = [_fine_slab(micro, slab) for slab in slabs[:here]]
+        results += [task.result() for task in tasks]
         run.timings.fine_wall.append(time.perf_counter() - t0)
         run.timings.fine_task_seconds.append(sum(sec for _, sec in results))
         ubar = np.concatenate([ends for ends, _ in results])
@@ -277,8 +285,10 @@ def run(config: PararealConfig, workers: int = 1, pool=None) -> PararealRun:
     """Init sweep, K correction iterations and the reference trajectory.
 
     The fine stage steps `workers` slabs of each row, with or without a
-    pool. The run uses a caller's pool and leaves it running; without one, a
-    run with workers > 1 forks its own, which ends when the run does. The
+    pool; with one, this process steps slab 0 and the pool the others. The
+    run uses a caller's pool and leaves it running; without one, a run with
+    workers > 1 makes its own of workers - 1 workers, plus one for the
+    reference tasks if it has any, which ends when the run does. The
     reference is one sequential trajectory per member. It never feeds the
     iteration, so with a pool it is submitted as one task per member before
     iteration 0 and gathered after the last iteration; without one it is
@@ -288,14 +298,17 @@ def run(config: PararealConfig, workers: int = 1, pool=None) -> PararealRun:
 
     args = (config.u0, config.n_intervals)
     props, references = [], []
-    own = worker_pool(workers) if pool is None and workers > 1 else nullcontext(pool)
+    if config.with_reference:
+        props = [r.micro_prop] if config.members is None else [
+            make_micro(m, config.dt, config.micro_kind, config.substep)
+            for m in config.members
+        ]
+    own = (
+        worker_pool(workers - 1 + bool(props)) if pool is None and workers > 1
+        else nullcontext(pool)
+    )
     with own as pool:
         try:
-            if config.with_reference:
-                props = [r.micro_prop] if config.members is None else [
-                    make_micro(m, config.dt, config.micro_kind, config.substep)
-                    for m in config.members
-                ]
             if pool is not None:
                 references = [pool.submit(_member_reference, p, *args) for p in props]
             for _ in range(config.n_iterations):
@@ -316,16 +329,148 @@ def run(config: PararealConfig, workers: int = 1, pool=None) -> PararealRun:
     return r
 
 
+_FORK = get_context("fork")
+
+
+class WorkerLostError(RuntimeError):
+    """A pool worker exited before it sent back its task's result."""
+
+
+def _serve(conn):
+    """A pool worker: run each (fn, args) received on `conn` and send back
+    (True, result) or (False, exception), until it receives None."""
+    while (call := conn.recv()) is not None:
+        fn, args = call
+        try:
+            reply = (True, fn(*args))
+        except Exception as exc:
+            reply = (False, exc)
+        try:
+            conn.send(reply)
+        except Exception as exc:  # the reply does not pickle
+            conn.send((False, exc))
+
+
+class _Task:
+    """A submitted call, with the result(), cancel() and cancelled() of a
+    concurrent.futures.Future."""
+
+    def __init__(self, pool, fn, args):
+        self._pool, self.state = pool, "queued"
+        try:
+            self.call = pickle.dumps((fn, args))
+        except Exception as exc:  # raised by result(), not by submit
+            self._end(False, exc)
+
+    def _end(self, ok, value):
+        self.state, self._value = ("done" if ok else "failed"), value
+
+    def cancel(self) -> bool:
+        if self.state == "queued":
+            self.state = "cancelled"
+        return self.state == "cancelled"
+
+    def cancelled(self) -> bool:
+        return self.state == "cancelled"
+
+    def result(self):
+        while self.state in ("queued", "running"):
+            self._pool._wait()
+        if self.state == "cancelled":
+            raise CancelledError()
+        if self.state == "failed":
+            raise self._value
+        return self._value
+
+
+class _Pool:
+    """worker_pool's pool: each worker runs one task at a time."""
+
+    def __init__(self, size: int):
+        if size < 1:
+            raise ValueError("a worker pool needs at least one worker")
+        self._size, self._queue = size, deque()
+        # By this process's end of each worker's pipe: every worker's
+        # process, the idle workers, and each busy worker's task.
+        self._workers, self._idle, self._busy = {}, [], {}
+
+    def submit(self, fn, *args) -> _Task:
+        task = _Task(self, fn, args)
+        if task.state == "queued":
+            self._queue.append(task)
+            self._dispatch()
+        return task
+
+    def _dispatch(self):
+        while self._queue and (self._idle or len(self._workers) < self._size):
+            task = self._queue.popleft()
+            if task.state != "queued":  # cancelled
+                continue
+            if self._idle:
+                conn = self._idle.pop()
+            else:
+                conn, theirs = _FORK.Pipe()
+                self._workers[conn] = _FORK.Process(target=_serve, args=(theirs,))
+                self._workers[conn].start()
+                theirs.close()
+            task.state, self._busy[conn] = "running", task
+            with suppress(OSError):  # a worker that exited is found by _wait
+                conn.send_bytes(task.call)
+
+    def _wait(self):
+        """Wait until a running task ends, take every reply then ready, fail
+        the task of a worker that exited without one, and hand out queued
+        tasks."""
+        sentinels = {self._workers[conn].sentinel: conn for conn in self._busy}
+        for ready in connection.wait([*self._busy, *sentinels]):
+            conn = sentinels.get(ready, ready)
+            if conn not in self._busy:  # its reply and its exit were both ready
+                continue
+            task = self._busy.pop(conn)
+            try:
+                # An exited worker's pipe reads as closed, or as empty while
+                # a process it forked still holds the worker's end.
+                if not conn.poll():
+                    raise EOFError
+                task._end(*conn.recv())
+                self._idle.append(conn)
+            except (EOFError, OSError):
+                process = self._workers.pop(conn)
+                conn.close()
+                process.join()
+                task._end(False, WorkerLostError(
+                    f"a pool worker exited with code {process.exitcode} "
+                    "before it returned its task"
+                ))
+        self._dispatch()
+
+    def close(self):
+        for task in self._queue:
+            task.cancel()
+        while self._busy:
+            self._wait()
+        for conn in self._workers:
+            with suppress(OSError):  # the worker exited, say on Ctrl-C
+                conn.send(None)
+            conn.close()
+        for process in self._workers.values():
+            process.join()
+
+
 @contextmanager
-def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
-    """A pool that forks its workers on its first task; on exit it cancels
-    the tasks still queued and joins the running ones."""
-    ctx = multiprocessing.get_context("fork")
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=ctx)
+def worker_pool(workers: int) -> Iterator[_Pool]:
+    """A pool of up to `workers` forked processes, each on its own pipe;
+    submit(fn, *args) returns a handle with result(), cancel() and
+    cancelled(). It starts no thread: a worker is forked when a task first
+    needs one, and the calling process hands queued tasks to idle workers,
+    first in first out, when it submits a task or waits for a result. On
+    exit, normally or after an error, it cancels the tasks still queued,
+    waits for the running ones and reaps every worker."""
+    pool = _Pool(workers)
     try:
         yield pool
     finally:
-        pool.shutdown(cancel_futures=True)
+        pool.close()
 
 
 def plain_parareal(fine, coarse, row0, k_max: int) -> np.ndarray:

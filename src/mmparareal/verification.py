@@ -258,9 +258,9 @@ def check_determinism_across_workers():
         AlgorithmVariant.MATCHING, kmax=2, coarse="euler", fine="euler",
         substep=1e-4, with_reference=False,
     )
-    # One process steps the 1-worker run's whole rows while the 2-worker
-    # run's two slabs go to the other two, so the two runs overlap.
-    with engine.worker_pool(3) as pool:
+    # One worker steps the 1-worker run's whole rows while this process and
+    # the other worker step the 2-worker run's two slabs, so the runs overlap.
+    with engine.worker_pool(2) as pool:
         alone = pool.submit(engine.run, config)
         split = engine.run(config, workers=2, pool=pool)
         same = _lattices_identical([alone.result(), split])

@@ -39,6 +39,17 @@ def _blown_up_reference(prop, u0, n):
     raise NonFiniteStateError("non-finite state in the reference")
 
 
+_fine_slab = engine._fine_slab
+
+
+def _exit_in_worker(prop, states):
+    # Module level, so that a pool task pickles it by name. A pool worker
+    # running it dies; the calling process steps its own slab as usual.
+    if multiprocessing.parent_process() is not None:
+        os._exit(9)
+    return _fine_slab(prop, states)
+
+
 def run_to_file(tmp_path, name, *argv):
     out = tmp_path / name
     code = main([*argv, "--out", str(out)])
@@ -420,10 +431,28 @@ class TestValidationErrors:
         last = proc.stderr.splitlines()[-1]
         assert last.startswith("error: out of memory: Unable to allocate")
         assert "PiB" in last
+        # Refused with the config, before the metadata and any pool.
+        assert proc.stderr == last + "\n"
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: out of memory" in captured.err
+        assert multiprocessing.active_children() == []
+
+    def test_lost_pool_worker_exits_1_without_traceback(self, capsys, monkeypatch):
+        # A worker that dies mid-task ends the command with one error line
+        # after the metadata, and every worker is reaped.
+        monkeypatch.setattr(engine, "_fine_slab", _exit_in_worker)
+        argv = ["sweep-dt", "--system", "quadratic", "--dts", "0.1", "--kmax", "1",
+                "--T", "1", "--workers", "2"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        *metadata, last = captured.err.splitlines()
+        assert metadata and all(line.startswith("# ") for line in metadata)
+        assert last == (
+            "error: a pool worker exited with code 9 before it returned its task"
+        )
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize(

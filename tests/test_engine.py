@@ -1,5 +1,7 @@
 import hashlib
 import multiprocessing
+import pickle
+import threading
 import time
 from contextlib import nullcontext
 from functools import partial
@@ -390,6 +392,17 @@ def _blown_up_reference(prop, u0, n):
     raise NonFiniteStateError("non-finite state in the reference")
 
 
+_fine_slab = engine._fine_slab
+
+
+def _blown_up_slab(in_worker, prop, states):
+    # Module level, so that a pool task pickles it by name: the slab blows
+    # up in a pool worker or in the calling process.
+    if (multiprocessing.parent_process() is not None) == in_worker:
+        raise NonFiniteStateError("non-finite state in a slab")
+    return _fine_slab(prop, states)
+
+
 def _euler_config(system, u0, variant, macro_kind="euler", **kw):
     # N = 10 and K = 2 with Euler fine (substep 1e-3) and, by default, coarse.
     return PararealConfig(
@@ -435,6 +448,25 @@ class TestReferenceInPool:
         monkeypatch.setattr(engine, "_member_reference", _blown_up_reference)
         with pytest.raises(NonFiniteStateError, match="in the reference"):
             run(make_config(), workers=workers)
+        assert multiprocessing.active_children() == []
+
+    def test_failed_run_cancels_its_queued_reference_tasks(self, monkeypatch):
+        # On a caller's pool of one worker, the first of three reference
+        # tasks runs and two wait; slab 0 fails in this process, and the run
+        # withdraws the two before the pool, which outlives it, runs them.
+        monkeypatch.setattr(engine, "_fine_slab", partial(_blown_up_slab, False))
+        config = toy_config(AlgorithmVariant.MATCHING, 2, epsilons=(1e-2, 1e-3, 1e-4))
+        tasks = []
+
+        class Spy:
+            def submit(self, fn, *args):
+                tasks.append(pool.submit(fn, *args))
+                return tasks[-1]
+
+        with worker_pool(1) as pool:
+            with pytest.raises(NonFiniteStateError, match="stage 2a"):
+                run(config, workers=2, pool=Spy())
+            assert [t.cancelled() for t in tasks] == [False, True, True, False]
         assert multiprocessing.active_children() == []
 
     def test_failed_iterations_skip_the_in_process_reference(self, monkeypatch):
@@ -488,6 +520,19 @@ class TestBlowUpContext:
         assert str(info.value) == (
             "non-finite state in Euler micro step; iteration 0, stage 2a (fine), "
             "dt=0.1"
+        )
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("in_worker", [False, True], ids=["caller", "worker"])
+    def test_slab_blow_up_names_the_fine_stage(self, in_worker, monkeypatch):
+        # The calling process steps slab 0 and a pool worker slab 1; a
+        # blow-up in either is named the same way.
+        monkeypatch.setattr(engine, "_fine_slab", partial(_blown_up_slab, in_worker))
+        config = toy_config(AlgorithmVariant.MATCHING, 2, with_reference=False)
+        with pytest.raises(NonFiniteStateError) as info:
+            run(config, workers=2)
+        assert str(info.value) == (
+            "non-finite state in a slab; iteration 0, stage 2a (fine), dt=0.1"
         )
         assert multiprocessing.active_children() == []
 
@@ -581,19 +626,47 @@ class TestEpsilonGrid:
 
 class TestWorkerPool:
     def test_exit_cancels_queued_tasks_and_joins_workers(self):
-        # Two workers cannot start forty tasks before the block raises: the
-        # tasks still queued are cancelled, the few already handed out (one
-        # per worker and the executor's call queue of workers + 1) run to
-        # their end, and no worker outlives the block.
-        workers = 2
+        # Two workers cannot start forty tasks before the block raises: each
+        # worker is handed one task at a time, so the tasks still queued are
+        # cancelled, the ones already handed out run to their end, and no
+        # worker outlives the block. The pool starts no thread.
+        workers, threads = 2, threading.enumerate()
         with pytest.raises(RuntimeError, match="stop"):
             with worker_pool(workers) as pool:
                 futures = [pool.submit(time.sleep, 0.2) for _ in range(40)]
+                assert threading.enumerate() == threads
                 raise RuntimeError("stop")
         started = [f for f in futures if not f.cancelled()]
-        assert len(started) <= 2 * workers + 1
+        assert len(started) <= workers
         assert all(f.result() is None for f in started)
         assert multiprocessing.active_children() == []
+
+    def test_unpicklable_task_fails_at_its_result(self):
+        # As with concurrent.futures: submit returns, result() raises, and
+        # the pool runs the next task.
+        with worker_pool(1) as pool:
+            task = pool.submit(lambda: 1)
+            with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+                task.result()
+            assert pool.submit(abs, -1).result() == 1
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_each_iteration_submits_every_slab_but_the_first(self, workers):
+        # The calling process steps slab 0 itself.
+        config = toy_config(AlgorithmVariant.MATCHING, 2, with_reference=False)
+        submitted = []
+
+        class Spy:
+            def submit(self, fn, *args):
+                submitted.append((fn, len(args[1])))
+                return pool.submit(fn, *args)
+
+        with worker_pool(workers) as pool:
+            spied = run(config, workers=workers, pool=Spy())
+        sizes = [len(s) for s in np.array_split(np.empty(100), workers)]
+        assert submitted == [(engine._fine_slab, n) for n in sizes[1:]] * 2
+        assert spied.u.tobytes() == run(config).u.tobytes()
 
 
 # A contracting rotation and a cruder one, as fine and coarse steps on R^2.
