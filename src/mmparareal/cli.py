@@ -320,8 +320,8 @@ def _print_metadata(spec: Namespace, epsilons: list):
 
 def cmd_sweep(spec: Namespace) -> int:
     """sweep-epsilon, sweep-k and sweep-dt: one error table per grid point,
-    from one engine run per dt, whose fine stage --workers slabs. With
-    --workers > 1 all runs share one pool.
+    from one engine run per dt, whose fine stage steps at most --workers
+    slabs of each row. With --workers > 1 all runs share one pool.
 
     The three differ only in their grid and default kmax: sweep-dt runs each
     dt of its grid at the first epsilon, the other two the epsilon grid at

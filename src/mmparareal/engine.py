@@ -13,7 +13,9 @@ Iteration k -> k+1 proceeds in the classic predictor-corrector shape:
        into contiguous slabs, each stepped by one call of the micro
        propagator on its (n, d) row and gathered in slab order; with a
        pool, the calling process steps slab 0 and the pool's workers the
-       others) and coarse predictions xbar[n+1] = C(x[k][n]);
+       others, each slab a concurrent.futures.Future that this process
+       completes by driving the pool) and coarse predictions
+       xbar[n+1] = C(x[k][n]);
   (2b) jumps j[n+1] = restrict(ubar[n+1]) - xbar[n+1];
   (2c) sequential corrected sweep x[k+1][n+1] = C(x[k+1][n]) + j[n+1];
   (2d) rebuild full states, by variant:
@@ -41,8 +43,8 @@ DAE_COARSE is the plain parareal iteration whose coarse propagator is the
 composition lift . C . restrict; that identification only holds for the
 linear model, so the variant rejects nonlinear systems.
 
-Determinism: the fine stage is a pure map over contiguous slabs (one per
-worker, with or without a pool) with an ordered gather, a row step
+Determinism: the fine stage is a pure map over contiguous slabs (at most
+one per worker, with or without a pool) with an ordered gather, a row step
 is bitwise the steps of its states one by one, and every sweep reduces in
 ascending n, so lattices are bit-identical for any worker count.
 """
@@ -55,13 +57,13 @@ import operator
 import pickle
 import time
 from collections import deque
-from concurrent.futures import CancelledError
-from contextlib import contextmanager, nullcontext, suppress
+from concurrent.futures import Executor, Future
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import partial
 from multiprocessing import connection, get_context
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -211,7 +213,11 @@ def init_sweep(config: PararealConfig) -> PararealRun:
 
 
 def parareal_iteration(run: PararealRun, *, workers: int = 1, pool=None):
-    """Fill the run's next row k+1 from its last row k (steps 2a-2d above)."""
+    """Fill the run's next row k+1 from its last row k (steps 2a-2d above).
+
+    The fine stage cuts row k into at most `workers` slabs, one interval or
+    more each; with a pool the calling process steps slab 0 and the pool the
+    others."""
     config = run.config
     k = run.rows_filled - 1
     if k >= config.n_iterations:
@@ -222,10 +228,11 @@ def parareal_iteration(run: PararealRun, *, workers: int = 1, pool=None):
     # A blow-up is re-raised naming where it happened.
     stage = "2a (fine)"
     try:
-        # (2a) fine endpoints: pure map over `workers` slabs of row k,
-        # gathered in slab order; ubar[j] is the endpoint of interval j+1.
-        # With a pool, slabs 1.. are its tasks while this process steps slab 0.
-        slabs = np.array_split(run.u[k][:-1], workers)
+        # (2a) fine endpoints: pure map over at most `workers` slabs of row
+        # k, one interval or more each, gathered in slab order; ubar[j] is the
+        # endpoint of interval j+1. With a pool, slabs 1.. are its tasks
+        # while this process steps slab 0.
+        slabs = np.array_split(run.u[k][:-1], min(workers, n))
         here = len(slabs) if pool is None else 1
         t0 = time.perf_counter()
         tasks = [pool.submit(_fine_slab, micro, slab) for slab in slabs[here:]]
@@ -284,15 +291,15 @@ def _member_reference(prop, u0: np.ndarray, n: int) -> np.ndarray:
 def run(config: PararealConfig, workers: int = 1, pool=None) -> PararealRun:
     """Init sweep, K correction iterations and the reference trajectory.
 
-    The fine stage steps `workers` slabs of each row, with or without a
-    pool; with one, this process steps slab 0 and the pool the others. The
-    run uses a caller's pool and leaves it running; without one, a run with
-    workers > 1 makes its own of workers - 1 workers, plus one for the
-    reference tasks if it has any, which ends when the run does. The
-    reference is one sequential trajectory per member. It never feeds the
-    iteration, so with a pool it is submitted as one task per member before
-    iteration 0 and gathered after the last iteration; without one it is
-    stepped after the last iteration, so failed iterations never step it.
+    The fine stage steps at most `workers` slabs of each row, with or
+    without a pool; with one, this process steps slab 0 and the pool the
+    others. The run uses a caller's pool and leaves it running; without
+    one, a run with workers > 1 makes its own worker_pool(workers), which
+    ends when the run does. The reference is one sequential trajectory per
+    member. It never feeds the iteration, so with a pool it is submitted as
+    one task per member before iteration 0 and gathered after the last
+    iteration; without one it is stepped after the last iteration, so
+    failed iterations never step it.
     """
     r = init_sweep(config)
 
@@ -303,10 +310,7 @@ def run(config: PararealConfig, workers: int = 1, pool=None) -> PararealRun:
             make_micro(m, config.dt, config.micro_kind, config.substep)
             for m in config.members
         ]
-    own = (
-        worker_pool(workers - 1 + bool(props)) if pool is None and workers > 1
-        else nullcontext(pool)
-    )
+    own = worker_pool(workers) if pool is None and workers > 1 else nullcontext(pool)
     with own as pool:
         try:
             if pool is not None:
@@ -351,52 +355,56 @@ def _serve(conn):
             conn.send((False, exc))
 
 
-class _Task:
-    """A submitted call, with the result(), cancel() and cancelled() of a
-    concurrent.futures.Future."""
+class _Task(Future):
+    """A submitted call. Only the calling process completes it, inside
+    result() or exception(), which drive the pool until it ends; so a
+    timeout other than None raises, and concurrent.futures.wait and
+    as_completed would block forever."""
 
     def __init__(self, pool, fn, args):
-        self._pool, self.state = pool, "queued"
+        super().__init__()
+        self._pool = pool
         try:
             self.call = pickle.dumps((fn, args))
         except Exception as exc:  # raised by result(), not by submit
-            self._end(False, exc)
+            self.set_exception(exc)
 
-    def _end(self, ok, value):
-        self.state, self._value = ("done" if ok else "failed"), value
-
-    def cancel(self) -> bool:
-        if self.state == "queued":
-            self.state = "cancelled"
-        return self.state == "cancelled"
-
-    def cancelled(self) -> bool:
-        return self.state == "cancelled"
-
-    def result(self):
-        while self.state in ("queued", "running"):
+    def exception(self, timeout=None):
+        if timeout is not None:
+            raise ValueError("a pool task takes no timeout: only its wait ends it")
+        while not self.done():
             self._pool._wait()
-        if self.state == "cancelled":
-            raise CancelledError()
-        if self.state == "failed":
-            raise self._value
-        return self._value
+        return super().exception()
+
+    def result(self, timeout=None):
+        self.exception(timeout)
+        return super().result()
 
 
-class _Pool:
-    """worker_pool's pool: each worker runs one task at a time."""
+class worker_pool(Executor):
+    """An executor of up to `workers` forked processes, each on its own pipe
+    and running one task at a time; submit(fn, *args) returns a
+    concurrent.futures.Future. It starts no thread: a worker is forked when
+    a task first needs one, and the calling process hands queued tasks to
+    idle workers, first in first out, when it submits a task or waits for
+    a result. shutdown(), also on leaving its with block normally or after
+    an error, cancels the tasks still queued, waits for the running ones and
+    reaps every worker, whatever its arguments: only a wait completes a
+    running task. A task submitted after it raises RuntimeError."""
 
-    def __init__(self, size: int):
-        if size < 1:
+    def __init__(self, workers: int):
+        if workers < 1:
             raise ValueError("a worker pool needs at least one worker")
-        self._size, self._queue = size, deque()
+        self._size, self._queue = workers, deque()
         # By this process's end of each worker's pipe: every worker's
         # process, the idle workers, and each busy worker's task.
         self._workers, self._idle, self._busy = {}, [], {}
 
     def submit(self, fn, *args) -> _Task:
+        if not self._size:
+            raise RuntimeError("cannot submit a task to a pool that is shut down")
         task = _Task(self, fn, args)
-        if task.state == "queued":
+        if not task.done():
             self._queue.append(task)
             self._dispatch()
         return task
@@ -404,7 +412,7 @@ class _Pool:
     def _dispatch(self):
         while self._queue and (self._idle or len(self._workers) < self._size):
             task = self._queue.popleft()
-            if task.state != "queued":  # cancelled
+            if not task.set_running_or_notify_cancel():
                 continue
             if self._idle:
                 conn = self._idle.pop()
@@ -413,7 +421,7 @@ class _Pool:
                 self._workers[conn] = _FORK.Process(target=_serve, args=(theirs,))
                 self._workers[conn].start()
                 theirs.close()
-            task.state, self._busy[conn] = "running", task
+            self._busy[conn] = task
             with suppress(OSError):  # a worker that exited is found by _wait
                 conn.send_bytes(task.call)
 
@@ -432,19 +440,20 @@ class _Pool:
                 # a process it forked still holds the worker's end.
                 if not conn.poll():
                     raise EOFError
-                task._end(*conn.recv())
+                ok, value = conn.recv()
                 self._idle.append(conn)
             except (EOFError, OSError):
                 process = self._workers.pop(conn)
                 conn.close()
                 process.join()
-                task._end(False, WorkerLostError(
+                ok, value = False, WorkerLostError(
                     f"a pool worker exited with code {process.exitcode} "
                     "before it returned its task"
-                ))
+                )
+            (task.set_result if ok else task.set_exception)(value)
         self._dispatch()
 
-    def close(self):
+    def shutdown(self, wait=True, *, cancel_futures=False):
         for task in self._queue:
             task.cancel()
         while self._busy:
@@ -455,22 +464,9 @@ class _Pool:
             conn.close()
         for process in self._workers.values():
             process.join()
-
-
-@contextmanager
-def worker_pool(workers: int) -> Iterator[_Pool]:
-    """A pool of up to `workers` forked processes, each on its own pipe;
-    submit(fn, *args) returns a handle with result(), cancel() and
-    cancelled(). It starts no thread: a worker is forked when a task first
-    needs one, and the calling process hands queued tasks to idle workers,
-    first in first out, when it submits a task or waits for a result. On
-    exit, normally or after an error, it cancels the tasks still queued,
-    waits for the running ones and reaps every worker."""
-    pool = _Pool(workers)
-    try:
-        yield pool
-    finally:
-        pool.close()
+            process.close()
+        # A pool of no workers is one that is shut down.
+        self._size, self._workers, self._idle = 0, {}, []
 
 
 def plain_parareal(fine, coarse, row0, k_max: int) -> np.ndarray:

@@ -1,5 +1,7 @@
 import hashlib
+import math
 import multiprocessing
+import os
 import pickle
 import threading
 import time
@@ -667,6 +669,95 @@ class TestWorkerPool:
         sizes = [len(s) for s in np.array_split(np.empty(100), workers)]
         assert submitted == [(engine._fine_slab, n) for n in sizes[1:]] * 2
         assert spied.u.tobytes() == run(config).u.tobytes()
+
+    def test_a_row_shorter_than_workers_makes_no_empty_slab(self):
+        # N = 2 at 4 workers: two 1-row slabs, slab 0 stepped here and one
+        # submitted per iteration, where a cut into 4 slabs would submit
+        # [1, 0, 0] and fork a worker for each.
+        config = toy_config(AlgorithmVariant.MATCHING, 2, dt=5.0, with_reference=False)
+        submitted = []
+
+        class Spy:
+            def submit(self, fn, *args):
+                submitted.append(len(args[1]))
+                return pool.submit(fn, *args)
+
+        with worker_pool(4) as pool:
+            spied = run(config, workers=4, pool=Spy())
+        assert submitted == [1, 1]
+        assert spied.u.tobytes() == run(config).u.tobytes()
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("with_reference, forks", [(False, 1), (True, 2)])
+    def test_run_forks_a_worker_per_slab_task_and_one_for_the_reference(
+        self, with_reference, forks, monkeypatch
+    ):
+        # run's own pool is worker_pool(workers), whose workers are forked
+        # only for a task that finds none idle: one slab task per iteration
+        # at 2 workers, and a reference task submitted before them.
+        started = []
+        process = engine._FORK.Process
+
+        def counted(*args, **kwargs):
+            started.append(process(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(engine._FORK, "Process", counted)
+        config = toy_config(AlgorithmVariant.MATCHING, 2, with_reference=with_reference)
+        run(config, workers=2)
+        assert len(started) == forks
+        assert multiprocessing.active_children() == []
+
+    def test_exception_drives_a_running_task_to_its_end(self):
+        # The calling process completes the future; no thread waits for it.
+        threads = threading.enumerate()
+        with worker_pool(1) as pool:
+            task = pool.submit(math.sqrt, -1.0)
+            assert task.running()
+            assert isinstance(task.exception(), ValueError)
+            assert threading.enumerate() == threads
+            with pytest.raises(ValueError, match="math domain error"):
+                task.result()
+
+    def test_a_timeout_raises(self):
+        # Nothing but a wait in the calling process completes a task, so a
+        # timeout could not be honoured.
+        with worker_pool(1) as pool:
+            task = pool.submit(abs, -1)
+            with pytest.raises(ValueError, match="timeout"):
+                task.result(timeout=1.0)
+            with pytest.raises(ValueError, match="timeout"):
+                task.exception(timeout=1.0)
+            assert task.result() == 1
+
+    def test_inherited_map_yields_in_order(self):
+        threads = threading.enumerate()
+        with worker_pool(2) as pool:
+            assert list(pool.map(abs, [-1, -2, -3])) == [1, 2, 3]
+            assert threading.enumerate() == threads
+        assert multiprocessing.active_children() == []
+
+    def test_shutdown_is_final_and_may_be_repeated(self):
+        # As with concurrent.futures, a shut-down pool takes no task; the
+        # with block's own shutdown after an explicit one does nothing.
+        with worker_pool(1) as pool:
+            assert pool.submit(abs, -1).result() == 1
+            pool.shutdown()
+            assert multiprocessing.active_children() == []
+            with pytest.raises(RuntimeError, match="shut down"):
+                pool.submit(abs, -1)
+
+    @pytest.mark.skipif(
+        not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd"
+    )
+    def test_exit_closes_every_descriptor_it_opened(self):
+        # Each worker's pipe end and its process's two sentinel descriptors
+        # are closed when the block ends, not when the pool is collected.
+        before = set(os.listdir("/proc/self/fd"))
+        with worker_pool(2) as pool:
+            tasks = [pool.submit(time.sleep, 0.05) for _ in range(2)]
+            assert all(task.result() is None for task in tasks)
+        assert set(os.listdir("/proc/self/fd")) == before
 
 
 # A contracting rotation and a cruder one, as fine and coarse steps on R^2.
