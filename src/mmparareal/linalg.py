@@ -7,10 +7,13 @@ explicit failure signalling:
 * ``solve`` / ``inverse``: LU with partial pivoting, singularity detected
   through an explicit pivot threshold relative to ||A||_inf.
 * ``mat_exp``: scaling-and-squaring with an order-13 Pade core
-  (scipy.linalg.expm); overflow raises instead of saturating to inf.
+  (scipy.linalg.expm) of one matrix or of a stack (..., n, n) in one call,
+  each slice bitwise its own call's; overflow raises instead of saturating
+  to inf.
 * ``eigenvalues``: Hessenberg reduction plus shifted QR (LAPACK geev).
 
-All functions are pure and operate on float64 arrays.
+All functions are pure and operate on float64 arrays. Only ``mat_exp``
+takes a stack; the others take one matrix.
 """
 
 from __future__ import annotations
@@ -36,9 +39,11 @@ class NoConvergenceError(Exception):
     """Eigenvalue iteration failed to converge."""
 
 
-def _as_square(a) -> np.ndarray:
+def _as_square(a, stacked: bool = False) -> np.ndarray:
+    """a as a finite float array: one square matrix, or with stacked=True
+    also a stack (..., n, n) of them."""
     a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if (a.ndim < 2 if stacked else a.ndim != 2) or a.shape[-1] != a.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
@@ -85,10 +90,13 @@ def inverse(a) -> np.ndarray:
 
 
 def mat_exp(m) -> np.ndarray:
-    """exp(m) for a square matrix; raises ExpOverflowError instead of
-    returning non-finite entries."""
-    m = _as_square(m)
-    e = scipy.linalg.expm(m)
+    """exp(m) for a square matrix, or for each matrix of a stack (..., n, n)
+    in one scipy.linalg.expm call, which exponentiates slice by slice, so
+    each slice is bitwise its own call's. Raises ExpOverflowError, and no
+    RuntimeWarning, when any slice overflows."""
+    m = _as_square(m, stacked=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = scipy.linalg.expm(m)
     if not np.all(np.isfinite(e)):
         raise ExpOverflowError("matrix exponential overflowed")
     return e

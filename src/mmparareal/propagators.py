@@ -30,7 +30,8 @@ _step_components reports them as NonFiniteStateError.
 * exact-linear micro: u -> exp(B dt) u with the exponential cached at
   construction (the iteration applies it N*K times); one np.matmul steps a
   row, bitwise equal to phi @ u on each of its states. On a grid of E > 1
-  members their exponentials are stacked to (E, d, d);
+  members one linalg.mat_exp call exponentiates their stacked (E, d, d)
+  B dt, each slice bitwise the member's own exponential;
 * forward-euler micro: dt/substep explicit Euler substeps of the full
   right-hand side; a substep past explicit Euler's stability limit is
   rejected at construction, for every member of a grid before any step. A
@@ -225,7 +226,7 @@ class ExactLinearMicro:
 
     def __init__(self, system, dt: float):
         self.dt = float(dt)
-        self.phi = _stacked(lambda m: linalg.mat_exp(m.b_matrix() * self.dt), system)
+        self.phi = linalg.mat_exp(_stacked(lambda m: m.b_matrix() * self.dt, system))
 
     def step(self, u: np.ndarray) -> np.ndarray:
         return _require_finite(_matvec(self.phi, u), "exact micro step")

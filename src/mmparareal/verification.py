@@ -124,28 +124,41 @@ def check_mat_exp_semigroup():
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         m = -(q @ np.diag(rng.uniform(0.1, 2.0, n)) @ q.T)
         s, t = rng.uniform(0.0, 1.0, 2)
-        whole = linalg.mat_exp(m * (s + t))
-        split = linalg.mat_exp(m * s) @ linalg.mat_exp(m * t)
+        whole, exp_s, exp_t = linalg.mat_exp(np.stack([m * (s + t), m * s, m * t]))
+        split = exp_s @ exp_t
         worst = max(
             worst, np.linalg.norm(whole - split) / np.linalg.norm(whole)
         )
     return worst <= 1e-9, f"worst semigroup defect {worst:.2e} (<= 1e-9)"
 
 
-def check_spectral_decay():
-    # Symmetric test family: min eigenvalue 2*mu, decay bound constant 1
-    # fitted at t=0 (non-normal transients would need a larger constant).
+def _decay_families():
+    """The spectral-decay check's five families (m, mu, times): a symmetric
+    m with min eigenvalue 2*mu, and 100 times from 0 to 50/mu."""
     rng = np.random.default_rng(99)
-    worst = -np.inf
     for _ in range(5):
         n = int(rng.integers(2, 9))
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         eigs = rng.uniform(1.0, 3.0, n)
-        m = q @ np.diag(eigs) @ q.T
         mu = 0.5 * float(np.min(eigs))
-        for t in np.linspace(0.0, 50.0 / mu, 100):
-            excess = np.linalg.norm(linalg.mat_exp(-m * t), 2) - np.exp(-mu * t)
-            worst = max(worst, excess)
+        yield q @ np.diag(eigs) @ q.T, mu, np.linspace(0.0, 50.0 / mu, 100)
+
+
+def _decay_excesses() -> np.ndarray:
+    """||exp(-m t)||_2 - exp(-mu t) for each family and time, shape (5, 100);
+    each family's exponentials and their 2-norms are taken as one stack."""
+    excesses = []
+    for m, mu, times in _decay_families():
+        stack = linalg.mat_exp(-m * times[:, None, None])
+        norms = np.linalg.norm(stack, 2, axis=(-2, -1))
+        excesses.append(norms - np.exp(-mu * times))
+    return np.array(excesses)
+
+
+def check_spectral_decay():
+    # Symmetric test families: decay bound constant 1 fitted at t=0
+    # (non-normal transients would need a larger constant).
+    worst = np.max(_decay_excesses())
     return worst <= 1e-12, f"worst bound excess {worst:.2e} (<= 0 up to round-off)"
 
 
@@ -189,6 +202,18 @@ def check_consistency_lattice():
         _consistency_violation(_toy_run(AlgorithmVariant.MATCHING)),
     )
     return worst <= 1e-13, f"worst normalized lattice gap {worst:.2e} (<= 1e-13)"
+
+
+def _termination_defect(run) -> float:
+    """max over k < K and n <= k of |u[k+1][n] - u[k][n]| and
+    |x[k+1][n] - x[k][n]|: parareal's finite termination makes it 0."""
+    # (K+1, N+1, every component of u and x), for a plain run or a grid.
+    rows = np.concatenate(
+        [a.reshape(*a.shape[:2], -1) for a in (run.u, run.x)], axis=-1
+    )
+    gap = np.abs(np.diff(rows, axis=0)).max(axis=-1)
+    k, n = np.indices(gap.shape)
+    return float(np.max(gap[n <= k], initial=0.0))
 
 
 def _exactness_defect(run) -> float:

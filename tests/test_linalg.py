@@ -1,10 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from mmparareal import linalg
+from mmparareal import linalg, verification
+from mmparareal.cli import DEFAULT_EPS_GRID
 from mmparareal.linalg import ExpOverflowError, SingularMatrixError
 from mmparareal.propagators import make_micro
-from mmparareal.systems import LinearFastSlowSystem
+from mmparareal.systems import LinearFastSlowSystem, builtin_toy
 
 TOY_A = np.array([[0.5, 0.5], [0.0, 1.0 / 3.0]])
 
@@ -64,6 +67,15 @@ class TestInverse:
             linalg.inverse(np.zeros((3, 3)))
 
 
+def _bitwise_slices(stack):
+    """True when mat_exp of the stack equals, bitwise, each matrix's own
+    mat_exp stacked."""
+    stack = np.asarray(stack)
+    one_by_one = [linalg.mat_exp(m) for m in stack.reshape(-1, *stack.shape[-2:])]
+    got = linalg.mat_exp(stack)
+    return got.tobytes() == np.stack(one_by_one).tobytes() and got.shape == stack.shape
+
+
 class TestMatExp:
     def test_zero_matrix(self):
         assert np.array_equal(linalg.mat_exp(np.zeros((3, 3))), np.eye(3))
@@ -87,6 +99,49 @@ class TestMatExp:
         with np.errstate(over="ignore"):
             with pytest.raises(ExpOverflowError):
                 linalg.mat_exp(np.array([[1e6, 0.0], [0.0, 1e6]]))
+
+    @pytest.mark.parametrize("dt", [0.2, 0.1, 0.05, 0.025])
+    def test_toy_generators_on_the_cli_grid(self, dt):
+        members = [builtin_toy(eps) for eps in DEFAULT_EPS_GRID]
+        assert _bitwise_slices([m.b_matrix() * dt for m in members])
+
+    def test_spectral_decay_family(self):
+        m, _, times = next(verification._decay_families())
+        assert _bitwise_slices(-m * times[:, None, None])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_small_stacks(self, n):
+        rng = np.random.default_rng(n)
+        assert _bitwise_slices(rng.standard_normal((2, 3, n, n)))
+
+    @pytest.mark.parametrize("shape", [(3, 2, 3), (2,), ()])
+    def test_non_square_stack_raises(self, shape):
+        with pytest.raises(ValueError):
+            linalg.mat_exp(np.zeros(shape))
+
+    def test_non_finite_stack_raises(self):
+        stack = np.zeros((3, 2, 2))
+        stack[1, 0, 1] = np.inf
+        with pytest.raises(ValueError):
+            linalg.mat_exp(stack)
+
+    @pytest.mark.parametrize("big", [
+        [[1e6, 0.0], [0.0, 1e6]],   # diagonal: scipy exponentiates entries
+        [[1e3, 1.0], [1.0, 1e3]],   # generic: scaling and squaring
+    ])
+    def test_one_overflowing_slice_raises_without_warning(self, big):
+        stack = np.stack([np.zeros((2, 2)), big, -np.eye(2)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ExpOverflowError):
+                linalg.mat_exp(stack)
+
+    def test_solve_and_inverse_reject_a_stack(self):
+        stack = np.stack([np.eye(2), TOY_A])
+        with pytest.raises(ValueError):
+            linalg.solve(stack, np.ones(2))
+        with pytest.raises(ValueError):
+            linalg.inverse(stack)
 
 
 class TestEigenvalues:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from mmparareal import engine, verification
+from mmparareal import engine, linalg, verification
 from mmparareal.engine import AlgorithmVariant, PararealConfig, _fine_slab
 from mmparareal.systems import LinearFastSlowSystem
 from mmparareal.transfer import TransferSet
@@ -217,3 +217,45 @@ class TestInvariantsOnRandomLinearSystems:
     def test_matching_is_plain_parareal(self, drawn):
         run = _random_run(drawn, AlgorithmVariant.MATCHING)
         assert verification._matching_deviation(run) <= 1e-12
+
+    @settings(max_examples=60)
+    @given(linear_systems())
+    def test_finite_termination_is_bitwise(self, drawn):
+        # After k iterations the first k intervals hold their fine values,
+        # so iteration k+1 leaves u[k][n] and x[k][n], n <= k, bit for bit.
+        for variant in AlgorithmVariant:
+            run = _random_run(drawn, variant)
+            assert verification._termination_defect(run) == 0.0
+
+
+class TestTerminationDefect:
+    def test_reads_one_ulp_on_a_settled_point_only(self):
+        run = verification._toy_run(AlgorithmVariant.LIFTING)
+        assert verification._termination_defect(run) == 0.0
+        # x[4][4] is not settled after 3 iterations (n = 4 > k = 3).
+        run.x[4][4] = np.nextafter(run.x[4][4], np.inf)
+        assert verification._termination_defect(run) == 0.0
+        run.u[2][1, 0] = np.nextafter(run.u[2][1, 0], np.inf)
+        assert verification._termination_defect(run) == np.spacing(run.u[1][1, 0])
+
+
+class TestSpectralDecay:
+    def test_stacked_excesses_equal_per_matrix_loop(self):
+        # Reference: the check's former loop, one mat_exp and one 2-norm per
+        # matrix. The worst excess is the 0.0 at t = 0, which the report
+        # prints as 0.00e+00, so every excess is compared, bitwise.
+        rng = np.random.default_rng(99)
+        excesses = []
+        for _ in range(5):
+            n = int(rng.integers(2, 9))
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            eigs = rng.uniform(1.0, 3.0, n)
+            m = q @ np.diag(eigs) @ q.T
+            mu = 0.5 * float(np.min(eigs))
+            for t in np.linspace(0.0, 50.0 / mu, 100):
+                excess = np.linalg.norm(linalg.mat_exp(-m * t), 2) - np.exp(-mu * t)
+                excesses.append(excess)
+        got = verification._decay_excesses()
+        assert got.tobytes() == np.array(excesses).tobytes()
+        assert np.max(got).tobytes() == max(excesses).tobytes()
+        assert np.count_nonzero(got) == 495
