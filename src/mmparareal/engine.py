@@ -24,6 +24,11 @@ Iteration k -> k+1 proceeds in the classic predictor-corrector shape:
        DAE_COARSE   u[k+1][n+1] = ubar[n+1]
                         + lift(C(restrict(u[k+1][n])) - C(restrict(u[k][n])))
 
+F, C and the transfer maps (restrict, lift, match) belong to the
+PararealConfig, which builds them once (micro_prop, macro_prop, transfer);
+every run of the config steps with them, and a PararealRun holds only what
+it computed: the lattices, the reference, the timings and the rows filled.
+
 The jumps (2b) and the LIFTING and MATCHING rebuilds (2d) are row
 operations: the transfer maps and the macro step act on all N intervals at
 once. The sweep (2c) and the DAE_COARSE rebuild need the new value at n to
@@ -76,7 +81,7 @@ from .propagators import (
     step_count,
 )
 from .systems import NonlinearFastSlowSystem
-from .transfer import TransferSet, transfer_for
+from .transfer import transfer_for
 
 
 class AlgorithmVariant(IntEnum):
@@ -137,14 +142,16 @@ class PararealConfig:
                 f"t_final/dt = {self.n_intervals:.3g} intervals and n_iterations"
                 f" = {self.n_iterations} make a lattice too large for numpy"
             )
-        # The run's propagators, built here so that an unknown kind, an exact
-        # propagator of a nonlinear system, an inexact dt/substep and every
-        # member's Euler stiffness guard reject the config before any run.
+        # What every run of this config steps with: F, C and the transfer
+        # maps. Built here so that an unknown kind, an exact propagator of a
+        # nonlinear system, an inexact dt/substep and every member's Euler
+        # stiffness guard reject the config before any run.
         self.micro_prop = make_micro(
             self.system if self.members is None else self.members,
             self.dt, self.micro_kind, self.substep,
         )
         self.macro_prop = make_macro(self.system, self.dt, self.macro_kind)
+        self.transfer = transfer_for(self.system)
 
 
 def lattice_shapes(config: PararealConfig) -> tuple:
@@ -165,15 +172,29 @@ class RunTimings:
 
 @dataclass(eq=False)
 class PararealRun:
+    """What a run computed; what it steps with is its config's."""
+
     config: PararealConfig
     u: np.ndarray              # (K+1, N+1, d), on a grid (K+1, N+1, E, d)
     x: np.ndarray              # (K+1, N+1, s), on a grid (K+1, N+1, E, s)
-    reference: Optional[np.ndarray]  # (N+1, d), on a grid (N+1, E, d)
-    timings: RunTimings
-    micro_prop: object
-    macro_prop: object
-    transfer: TransferSet
+    reference: Optional[np.ndarray] = None  # (N+1, d), on a grid (N+1, E, d)
+    timings: RunTimings = field(default_factory=RunTimings)
     rows_filled: int = 1
+
+    @property
+    def micro_prop(self):
+        # Read by perfbench/tracing.py, which counts a pooled run's fine
+        # substeps from it.
+        return self.config.micro_prop
+
+
+def _worker_count(workers) -> int:
+    """workers as an int; a ValueError names any value that is not an
+    integer >= 1."""
+    with suppress(TypeError):
+        if operator.index(workers) >= 1:
+            return operator.index(workers)
+    raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
 
 
 def _fine_slab(prop, states):
@@ -189,7 +210,7 @@ def init_sweep(config: PararealConfig) -> PararealRun:
 
     u[0][0] is the given initial condition, not its lifted slow part.
     """
-    macro, tset = config.macro_prop, transfer_for(config.system)
+    macro, tset = config.macro_prop, config.transfer
     u, x = (np.full(shape, np.nan) for shape in lattice_shapes(config))
 
     u[0][0] = config.u0
@@ -200,16 +221,7 @@ def init_sweep(config: PararealConfig) -> PararealRun:
         raise NonFiniteStateError(f"{exc}; init sweep, dt={config.dt!r}") from exc
     u[0][1:] = tset.lift(x[0][1:])
 
-    return PararealRun(
-        config=config,
-        u=u,
-        x=x,
-        reference=None,
-        timings=RunTimings(),
-        micro_prop=config.micro_prop,
-        macro_prop=macro,
-        transfer=tset,
-    )
+    return PararealRun(config, u, x)
 
 
 def parareal_iteration(run: PararealRun, *, workers: int = 1, pool=None):
@@ -218,12 +230,13 @@ def parareal_iteration(run: PararealRun, *, workers: int = 1, pool=None):
     The fine stage cuts row k into at most `workers` slabs, one interval or
     more each; with a pool the calling process steps slab 0 and the pool the
     others."""
+    workers = _worker_count(workers)
     config = run.config
     k = run.rows_filled - 1
     if k >= config.n_iterations:
         raise ValueError(f"all {config.n_iterations} iterations are filled")
     n = config.n_intervals
-    micro, macro, tset = run.micro_prop, run.macro_prop, run.transfer
+    micro, macro, tset = config.micro_prop, config.macro_prop, config.transfer
 
     # A blow-up is re-raised naming where it happened.
     stage = "2a (fine)"
@@ -301,12 +314,13 @@ def run(config: PararealConfig, workers: int = 1, pool=None) -> PararealRun:
     iteration; without one it is stepped after the last iteration, so
     failed iterations never step it.
     """
+    workers = _worker_count(workers)
     r = init_sweep(config)
 
     args = (config.u0, config.n_intervals)
     props, references = [], []
     if config.with_reference:
-        props = [r.micro_prop] if config.members is None else [
+        props = [config.micro_prop] if config.members is None else [
             make_micro(m, config.dt, config.micro_kind, config.substep)
             for m in config.members
         ]
@@ -382,23 +396,22 @@ class _Task(Future):
 
 
 class worker_pool(Executor):
-    """An executor of up to `workers` forked processes, each on its own pipe
-    and running one task at a time; submit(fn, *args) returns a
-    concurrent.futures.Future. It starts no thread: a worker is forked when
-    a task first needs one, and the calling process hands queued tasks to
-    idle workers, first in first out, when it submits a task or waits for
-    a result. shutdown(), also on leaving its with block normally or after
-    an error, cancels the tasks still queued, waits for the running ones and
-    reaps every worker, whatever its arguments: only a wait completes a
-    running task. A task submitted after it raises RuntimeError."""
+    """An executor of up to `workers` (an integer >= 1) forked processes,
+    each on its own pipe and running one task at a time; submit(fn, *args)
+    returns a concurrent.futures.Future. It starts no thread: a worker is
+    forked when a task first needs one, and the calling process hands
+    queued tasks to idle workers, first in first out, when it submits a
+    task or waits for a result. shutdown(), also on leaving its with block
+    normally or after an error, cancels the tasks still queued, waits for
+    the running ones and reaps every worker, whatever its arguments: only a
+    wait completes a running task. A task submitted after it raises
+    RuntimeError."""
 
     def __init__(self, workers: int):
-        if workers < 1:
-            raise ValueError("a worker pool needs at least one worker")
-        self._size, self._queue = workers, deque()
+        self._size, self._queue = _worker_count(workers), deque()
         # By this process's end of each worker's pipe: every worker's
-        # process, the idle workers, and each busy worker's task.
-        self._workers, self._idle, self._busy = {}, [], {}
+        # process, and each busy worker's task. A worker not busy is idle.
+        self._workers, self._busy = {}, {}
 
     def submit(self, fn, *args) -> _Task:
         if not self._size:
@@ -410,13 +423,14 @@ class worker_pool(Executor):
         return task
 
     def _dispatch(self):
-        while self._queue and (self._idle or len(self._workers) < self._size):
+        # Every busy worker is forked and at most size are, so a task can
+        # start exactly when fewer than size workers are busy.
+        while self._queue and len(self._busy) < self._size:
             task = self._queue.popleft()
             if not task.set_running_or_notify_cancel():
                 continue
-            if self._idle:
-                conn = self._idle.pop()
-            else:
+            conn = next((c for c in self._workers if c not in self._busy), None)
+            if conn is None:
                 conn, theirs = _FORK.Pipe()
                 self._workers[conn] = _FORK.Process(target=_serve, args=(theirs,))
                 self._workers[conn].start()
@@ -441,7 +455,6 @@ class worker_pool(Executor):
                 if not conn.poll():
                     raise EOFError
                 ok, value = conn.recv()
-                self._idle.append(conn)
             except (EOFError, OSError):
                 process = self._workers.pop(conn)
                 conn.close()
@@ -450,6 +463,7 @@ class worker_pool(Executor):
                     f"a pool worker exited with code {process.exitcode} "
                     "before it returned its task"
                 )
+                process.close()
             (task.set_result if ok else task.set_exception)(value)
         self._dispatch()
 
@@ -466,7 +480,7 @@ class worker_pool(Executor):
             process.join()
             process.close()
         # A pool of no workers is one that is shut down.
-        self._size, self._workers, self._idle = 0, {}, []
+        self._size, self._workers = 0, {}
 
 
 def plain_parareal(fine, coarse, row0, k_max: int) -> np.ndarray:

@@ -67,8 +67,8 @@ def _matching_deviation(run) -> float:
     system with exact propagators: MATCHING is plain parareal with fine
     propagator F and coarse propagator embed . C . restrict, started from
     the lifted coarse sweep."""
-    config, tset = run.config, run.transfer
-    phi, rho = run.micro_prop.phi, run.macro_prop.rho
+    config = run.config
+    tset, phi, rho = config.transfer, config.micro_prop.phi, config.macro_prop.rho
 
     def coarse_embedded(u):
         out = np.zeros(config.system.dim)
@@ -86,7 +86,7 @@ def _lifting_structure_defect(run) -> float:
     """max |e - predicted| over a LIFTING run of a linear system: lifting
     rebuilds every state through L, so the micro error e splits into the
     lifted macro error minus the off-manifold part of the reference."""
-    tset, ref = run.transfer, run.reference[1:]
+    tset, ref = run.config.transfer, run.reference[1:]
     e = run.u[:, 1:] - ref
     off_manifold = ref - tset.lift(tset.restrict(ref))
     predicted = tset.lift(run.x[:, 1:] - ref[:, :1]) - off_manifold
@@ -239,8 +239,8 @@ def _recursion_defect(run) -> float:
     for all (k, n) at once, as the product of the sources with the
     lower-triangular matrix of rho powers.
     """
-    phi_row = run.micro_prop.phi[0]
-    rho = run.macro_prop.rho
+    phi_row = run.config.micro_prop.phi[0]
+    rho = run.config.macro_prop.rho
     ref = run.reference
     k_max, n = run.config.n_iterations, run.config.n_intervals
     big_e = run.x[:, :, 0] - ref[:, 0]
@@ -321,12 +321,11 @@ class _TamperedTransfer(TransferSet):
 
 
 def _tampered_run(kmax=4):
-    """A toy MATCHING run whose iterations use _TamperedTransfer."""
-    run = engine.init_sweep(_toy_config(AlgorithmVariant.MATCHING, kmax=kmax))
-    run.transfer = _TamperedTransfer(run.transfer.slow_dim, run.transfer.lift)
-    for _ in range(kmax):
-        engine.parareal_iteration(run)
-    return run
+    """A toy MATCHING run whose iterations use _TamperedTransfer; its init
+    sweep never calls match, so only the iterations see the tampering."""
+    config = _toy_config(AlgorithmVariant.MATCHING, kmax=kmax, with_reference=False)
+    config.transfer = _TamperedTransfer(config.transfer.slow_dim, config.transfer.lift)
+    return engine.run(config)
 
 
 def check_tamper_detection():

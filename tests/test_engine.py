@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import threading
 import time
 from contextlib import nullcontext
@@ -126,7 +127,28 @@ class TestConfigValidation:
                          macro_kind="euler", substep=1e-4)
         r = init_sweep(cfg)
         assert r.micro_prop is cfg.micro_prop
-        assert r.macro_prop is cfg.macro_prop
+        calls = []
+
+        class Counting:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __getattr__(self, name):
+                method = getattr(self.inner, name)
+
+                def counted(*args):
+                    calls.append(name)
+                    return method(*args)
+
+                return counted
+
+        # The iteration reads C and the transfer maps from the config.
+        cfg.macro_prop, cfg.transfer = Counting(cfg.macro_prop), Counting(cfg.transfer)
+        parareal_iteration(r)
+        # C: the row's predictions and N sweep steps; restrict: ubar and u0.
+        assert calls.count("step") == cfg.n_intervals + 1
+        assert calls.count("restrict") == 2
+        assert calls.count("match") == 1
 
     def test_variant_accepts_plain_integers(self):
         cfg = toy_config(2, 1)
@@ -365,7 +387,7 @@ class TestWorkerInvariance:
     def test_slabs_without_a_pool_are_the_one_worker_row(self):
         # workers is the slab count with or without a pool.
         config = toy_config(AlgorithmVariant.MATCHING, 2, with_reference=False)
-        one, three = init_sweep(config), init_sweep(config)
+        counted = toy_config(AlgorithmVariant.MATCHING, 2, with_reference=False)
         rows = []
 
         class CountingMicro:
@@ -373,7 +395,8 @@ class TestWorkerInvariance:
                 rows.append(len(states))
                 return config.micro_prop.step(states)
 
-        three.micro_prop = CountingMicro()
+        counted.micro_prop = CountingMicro()
+        one, three = init_sweep(config), init_sweep(counted)
         for k in range(2):
             parareal_iteration(one)
             parareal_iteration(three, workers=3)
@@ -381,6 +404,37 @@ class TestWorkerInvariance:
             assert len(three.timings.fine_wall) == k + 1
             assert len(three.timings.fine_task_seconds) == k + 1
         assert rows == [34, 33, 33] * 2
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5])
+    def test_a_bad_worker_count_is_refused_before_any_work(self, workers, monkeypatch):
+        # run refuses it before the init sweep and before any pool, a pool
+        # at construction, and parareal_iteration before it touches the
+        # row: nothing is forked and row 1 stays NaN.
+        def refused(*args, **kwargs):
+            raise AssertionError("reached past the worker-count check")
+
+        monkeypatch.setattr(engine._FORK, "Process", refused)
+        config = toy_config(AlgorithmVariant.MATCHING, 1)
+        r = init_sweep(config)
+        message = re.escape(f"got {workers!r}")
+        with monkeypatch.context() as patched:
+            patched.setattr(engine, "init_sweep", refused)
+            with pytest.raises(ValueError, match=message):
+                run(config, workers=workers)
+        with pytest.raises(ValueError, match=message):
+            worker_pool(workers)
+        with worker_pool(2) as pool:
+            with pytest.raises(ValueError, match=message):
+                parareal_iteration(r, workers=workers, pool=pool)
+        assert r.rows_filled == 1
+        assert np.isnan(r.u[1]).all() and np.isnan(r.x[1]).all()
+        assert multiprocessing.active_children() == []
+
+    def test_numpy_integer_worker_counts_pass(self):
+        config = toy_config(AlgorithmVariant.MATCHING, 1, with_reference=False)
+        r = run(config, workers=np.int64(2))
+        assert r.u.tobytes() == run(config).u.tobytes()
+        assert multiprocessing.active_children() == []
 
     def test_task_timings_recorded_per_iteration(self):
         r = run(toy_config(AlgorithmVariant.MATCHING, 2))
@@ -706,6 +760,23 @@ class TestWorkerPool:
         config = toy_config(AlgorithmVariant.MATCHING, 2, with_reference=with_reference)
         run(config, workers=2)
         assert len(started) == forks
+        assert multiprocessing.active_children() == []
+
+    def test_a_lost_worker_is_replaced(self, monkeypatch):
+        # The worker that exited is dropped, so the next task forks another.
+        started = []
+        process = engine._FORK.Process
+
+        def counted(*args, **kwargs):
+            started.append(process(*args, **kwargs))
+            return started[-1]
+
+        monkeypatch.setattr(engine._FORK, "Process", counted)
+        with worker_pool(1) as pool:
+            with pytest.raises(engine.WorkerLostError, match="code 9"):
+                pool.submit(os._exit, 9).result()
+            assert pool.submit(abs, -1).result() == 1
+            assert len(started) == 2 and started[1].is_alive()
         assert multiprocessing.active_children() == []
 
     def test_exception_drives_a_running_task_to_its_end(self):

@@ -1,4 +1,5 @@
 import multiprocessing
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from mmparareal import engine, linalg, verification
 from mmparareal.engine import AlgorithmVariant, PararealConfig, _fine_slab
-from mmparareal.systems import LinearFastSlowSystem
+from mmparareal.systems import LinearFastSlowSystem, NonlinearFastSlowSystem
 from mmparareal.transfer import TransferSet
 
 
@@ -93,7 +94,7 @@ class TestRecursionDefect:
         # add the same terms in another order, so the defects agree to a few
         # ulps of the macro errors (at most about 1e-7), far below 1e-20.
         run = verification._toy_run(variant, epsilon=1e-4)
-        phi_row, rho = run.micro_prop.phi[0], run.macro_prop.rho
+        phi_row, rho = run.micro_prop.phi[0], run.config.macro_prop.rho
         ref, n = run.reference, run.config.n_intervals
         worst = 0.0
         big_e = run.x[:, :, 0] - ref[:, 0]
@@ -226,6 +227,76 @@ class TestInvariantsOnRandomLinearSystems:
         for variant in AlgorithmVariant:
             run = _random_run(drawn, variant)
             assert verification._termination_defect(run) == 0.0
+
+
+# x' = a x + b y + c x^2, y' = (d x + e x^2 - y)/epsilon, slaved to
+# y = d x + e x^2. Module level, so that partials of them pickle.
+def _polynomial_micro_rhs(a, b, c, d, e, u, epsilon):
+    x, y = u
+    return a * x + b * y + c * x * x, (d * x + e * x * x - y) / epsilon
+
+
+def _polynomial_macro_rhs(a, b, c, d, e, v):
+    (x,) = v
+    return (a * x + b * (d * x + e * x * x) + c * x * x,)
+
+
+def _polynomial_lift(d, e, v):
+    x = v[..., :1]
+    return np.concatenate([x, d * x + e * x * x], axis=-1)
+
+
+def _polynomial_system(coefficients, epsilon):
+    d, e = coefficients[3:]
+    return NonlinearFastSlowSystem(
+        slow_dim=1, fast_dim=1,
+        micro_rhs=partial(_polynomial_micro_rhs, *coefficients),
+        macro_rhs=partial(_polynomial_macro_rhs, *coefficients),
+        lift_map=partial(_polynomial_lift, d, e),
+        epsilon=epsilon,
+    )
+
+
+@st.composite
+def polynomial_systems(draw):
+    """A polynomial NonlinearFastSlowSystem, its coefficients drawn from
+    U(-0.5, 0.5), and an initial state in [-1, 1]^2."""
+    coefficients = draw(st.lists(st.floats(-0.5, 0.5), min_size=5, max_size=5))
+    epsilon = draw(st.sampled_from([1e-3, 1e-2, 1e-1]))
+    u0 = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
+    return _polynomial_system(coefficients, epsilon), np.array(u0)
+
+
+def _polynomial_run(drawn, variant, workers=1):
+    # Euler fine, a user callable stepped one rhs call per substep, and RK4
+    # coarse: T = 1, dt = 0.1, K = 4.
+    system, u0 = drawn
+    return engine.run(PararealConfig(
+        system=system, t_final=1.0, dt=0.1, n_iterations=4, variant=variant,
+        u0=u0, micro_kind="euler", macro_kind="rk4",
+        substep=min(1e-3, system.epsilon / 2), with_reference=False,
+    ), workers=workers)
+
+
+class TestInvariantsOnRandomPolynomialSystems:
+    @settings(max_examples=20)
+    @given(polynomial_systems())
+    def test_termination_and_consistency_are_exact(self, drawn):
+        for variant in (AlgorithmVariant.LIFTING, AlgorithmVariant.MATCHING):
+            run = _polynomial_run(drawn, variant)
+            assert verification._termination_defect(run) == 0.0
+            assert verification._consistency_violation(run) == 0.0
+
+    def test_two_workers_are_bitwise_one(self):
+        drawn = (
+            _polynomial_system([0.3, -0.2, 0.1, 0.4, -0.25], 1e-2),
+            np.array([0.7, -0.3]),
+        )
+        for variant in (AlgorithmVariant.LIFTING, AlgorithmVariant.MATCHING):
+            one, two = (_polynomial_run(drawn, variant, w) for w in (1, 2))
+            assert two.u.tobytes() == one.u.tobytes()
+            assert two.x.tobytes() == one.x.tobytes()
+        assert multiprocessing.active_children() == []
 
 
 class TestTerminationDefect:
