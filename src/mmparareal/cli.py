@@ -18,6 +18,7 @@ Exit codes: 0 success, 1 validation error, 2 numerical failure,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
@@ -247,9 +248,13 @@ def _emit_tables(tables, all_times: bool) -> str:
     the rows are joined from those strings. Bit patterns, not values, keep
     -0.0 apart from 0.0 and every NaN apart from the others, so each cell
     reads as its own `repr`. The work stays per table, so only one table's
-    patterns are held at a time.
+    patterns are held at a time. Each table's block is written, followed by
+    its newline, into one buffer as soon as it is joined, so the text is
+    held twice at the peak, in the buffer and in the returned copy, and not
+    also as a list of blocks and their join.
     """
-    blocks = [CSV_HEADER]
+    buffer = io.StringIO()
+    buffer.write(CSV_HEADER + "\n")
     prefixes = {}
     for t in tables:
         lead = (
@@ -270,8 +275,9 @@ def _emit_tables(tables, all_times: bool) -> str:
         )
         columns = text[inverse.reshape(-1, 4).T].tolist()
         rows = zip(repeat(lead), prefixes[shape], *columns)
-        blocks.append("\n".join(map(",".join, rows)))
-    return "\n".join(blocks) + "\n"
+        buffer.write("\n".join(map(",".join, rows)))
+        buffer.write("\n")
+    return buffer.getvalue()
 
 
 def _check_out(out: str):

@@ -62,6 +62,19 @@ def _consistency_violation(run) -> float:
     return float(np.max(gap / (1.0 + np.abs(run.x))))
 
 
+def _fine_defect(run) -> np.ndarray:
+    """(K,): for each k < K, max over n and components of
+    |u[k+1][n+1] - F(u[k][n])|, F re-stepped on row k. It needs no
+    reference: a MATCHING rebuild keeps the fine endpoint's fast part, so
+    its defect falls to round-off as the slow parts converge, while a
+    LIFTING one stays at the macro model's modeling error."""
+    micro = run.config.micro_prop
+    return np.array([
+        np.max(np.abs(run.u[k + 1][1:] - micro.step(run.u[k][:-1])))
+        for k in range(run.config.n_iterations)
+    ])
+
+
 def _matching_deviation(run) -> float:
     """max |plain parareal - u| / (1 + |u|) over a MATCHING run of a linear
     system with exact propagators: MATCHING is plain parareal with fine

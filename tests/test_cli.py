@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -354,6 +355,22 @@ class TestEmitTables:
         assert cli._emit_tables(tables, all_times) == _emit_tables_rowwise(
             tables, all_times
         )
+
+    def test_text_is_held_at_most_about_twice(self, monkeypatch):
+        # The default toy sweep-k --all-times on its first 7 epsilons. The
+        # writer holds the text in its buffer and in the returned copy, with
+        # one table's block and cells beside them. A writer that also kept a
+        # list of the blocks and their join read 3.4 times the text here.
+        epsilons = ",".join(map(repr, cli.DEFAULT_EPS_GRID[:7]))
+        tables = self._captured(monkeypatch, ["sweep-k", "--all-times",
+                                              "--epsilons", epsilons])
+        tracemalloc.start()
+        try:
+            text = cli._emit_tables(tables, True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.9 * len(text)
 
 
 class TestPackageEntryPoint:

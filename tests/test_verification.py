@@ -3,12 +3,16 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from mmparareal import engine, linalg, verification
 from mmparareal.engine import AlgorithmVariant, PararealConfig, _fine_slab
-from mmparareal.systems import LinearFastSlowSystem, NonlinearFastSlowSystem
+from mmparareal.systems import (
+    LinearFastSlowSystem,
+    NonlinearFastSlowSystem,
+    builtin_toy,
+)
 from mmparareal.transfer import TransferSet
 
 
@@ -228,6 +232,28 @@ class TestInvariantsOnRandomLinearSystems:
             run = _random_run(drawn, variant)
             assert verification._termination_defect(run) == 0.0
 
+    @settings(max_examples=60)
+    @given(linear_systems())
+    def test_fine_defect_tells_matching_from_lifting(self, drawn):
+        # After K = N iterations MATCHING's rebuild keeps the fine endpoint,
+        # so its defect is round-off; LIFTING's stays at its error, the
+        # macro model's modeling error, which no iteration removes.
+        system, u0 = drawn
+        matching, lifting = (engine.run(PararealConfig(
+            system=system, t_final=2.0, dt=0.1, n_iterations=20, variant=v,
+            u0=u0,
+        )) for v in (AlgorithmVariant.MATCHING, AlgorithmVariant.LIFTING))
+        scale = _ref_scale(matching)
+        assert verification._fine_defect(matching)[-1] <= 1e-13 * scale
+        error = np.max(np.abs(lifting.u[-1] - lifting.reference))
+        # A draw that LIFTING solves to round-off tells the two rebuilds
+        # apart by nothing: u0 = 0, or a zero slow part whose fast transient
+        # has decayed (to 7e-44 on one draw). A LIFTING rebuild that matches
+        # leaves only such draws, and Hypothesis then fails the property for
+        # filtering out every input.
+        assume(error > 1e-10 * scale)
+        assert verification._fine_defect(lifting)[-1] >= 0.1 * error
+
 
 # x' = a x + b y + c x^2, y' = (d x + e x^2 - y)/epsilon, slaved to
 # y = d x + e x^2. Module level, so that partials of them pickle.
@@ -308,6 +334,26 @@ class TestTerminationDefect:
         assert verification._termination_defect(run) == 0.0
         run.u[2][1, 0] = np.nextafter(run.u[2][1, 0], np.inf)
         assert verification._termination_defect(run) == np.spacing(run.u[1][1, 0])
+
+
+class TestFineDefect:
+    def test_a_grid_reads_the_worst_of_its_members(self):
+        # Member e's slice of a grid run is bitwise its own run, and so is
+        # its slice of the grid's fine step.
+        def lifting_run(**grid):
+            return engine.run(PararealConfig(
+                system=builtin_toy(1e-2), t_final=10.0, dt=0.1, n_iterations=4,
+                variant=AlgorithmVariant.LIFTING, u0=verification.TOY_U0,
+                with_reference=False, **grid,
+            ))
+
+        epsilons = (1e-3, 1e-2, 1e-1)
+        members = [
+            verification._fine_defect(lifting_run(epsilons=(e,))) for e in epsilons
+        ]
+        defect = verification._fine_defect(lifting_run(epsilons=epsilons))
+        assert defect.shape == (4,)
+        assert defect.tobytes() == np.max(members, axis=0).tobytes()
 
 
 class TestSpectralDecay:
