@@ -373,17 +373,20 @@ def cmd_speedup(spec: Namespace) -> int:
             f"N = {n} intervals, K = {spec.kmax} iterations",
             f"ideal speed-up N/K = {analysis.format_ideal_speedup(ideal)}",
         ]
+        walls = {}
         for w in [w for w in (1, 2, 4) if w <= spec.workers] or [1]:
             timings = engine.run(config, workers=w).timings
             # The measured ratio, summed slab seconds over the fine stage's
             # wall, is not a speed-up: with more workers than CPUs a slab's
             # seconds include its wait for a CPU, and iteration 0's wall
             # includes forking the pool, so it can exceed 1 while the stage
-            # gets slower. Compare the walls across worker counts for that.
-            wall = sum(timings.fine_wall)
+            # gets slower. The wall as a multiple of the 1-worker wall (the
+            # first line's) reads a slowdown as one.
+            walls[w] = wall = sum(timings.fine_wall)
             tasks = sum(timings.fine_task_seconds)
             lines.append(
                 f"workers={w}  fine-stage wall {wall:.3f} s  "
+                f"x{wall / walls[1]:.2f} of 1 worker  "
                 f"task-sum {tasks:.3f} s  measured ratio {tasks / wall:.2f}"
             )
     _write_output("\n".join(lines) + "\n", spec.out)

@@ -40,9 +40,13 @@ model and the transfer maps, and the lattices get the grid as an axis after
 the interval axis, (K+1, N+1, E, d). Only the micro propagator sees epsilon;
 every other step acts on the last axis and broadcasts over the grid, so the
 sweep (2c) makes N Python steps for all E members at once, and member e's
-slice is bitwise the lattice of its own run. The reference is one
-sequential trajectory per member; with a pool its tasks run beside the
-iterations.
+slice is bitwise the lattice of its own run. The reference of a linear
+system is one sequential orbit of the config's micro propagator, which
+steps a grid's members with one stacked product per step, each member's
+slot bitwise its own; with a pool it is one task, run beside the
+iterations. A nonlinear grid's reference is one orbit per member, stepped
+on Python floats by the member's own propagator, which costs less than one
+orbit on component columns; with a pool each is a task of its own.
 
 DAE_COARSE is the plain parareal iteration whose coarse propagator is the
 composition lift . C . restrict; that identification only holds for the
@@ -308,37 +312,52 @@ def run(config: PararealConfig, workers: int = 1, pool=None) -> PararealRun:
     without a pool; with one, this process steps slab 0 and the pool the
     others. The run uses a caller's pool and leaves it running; without
     one, a run with workers > 1 makes its own worker_pool(workers), which
-    ends when the run does. The reference is one sequential trajectory per
-    member. It never feeds the iteration, so with a pool it is submitted as
-    one task per member before iteration 0 and gathered after the last
-    iteration; without one it is stepped after the last iteration, so
-    failed iterations never step it.
+    ends when the run does. The reference of a linear system is one orbit
+    of config.micro_prop from u0, tiled to (E, d) on a grid; a nonlinear
+    grid's is one orbit per member, by a propagator of the member's own. It
+    never feeds the iteration, so with a pool each orbit is submitted as a
+    task before iteration 0 and gathered after the last iteration; without
+    one the orbits are stepped after the last iteration, so failed
+    iterations never step them.
     """
     workers = _worker_count(workers)
     r = init_sweep(config)
 
-    args = (config.u0, config.n_intervals)
-    props, references = [], []
-    if config.with_reference:
-        props = [config.micro_prop] if config.members is None else [
-            make_micro(m, config.dt, config.micro_kind, config.substep)
+    per_member = config.members is not None and isinstance(
+        config.system, NonlinearFastSlowSystem
+    )
+    # (propagator, initial state) of each reference orbit.
+    if not config.with_reference:
+        orbits = []
+    elif per_member:
+        orbits = [
+            (make_micro(m, config.dt, config.micro_kind, config.substep), config.u0)
             for m in config.members
         ]
+    else:
+        u0 = config.u0 if config.members is None else np.tile(
+            config.u0, (len(config.members), 1)
+        )
+        orbits = [(config.micro_prop, u0)]
+    n, references = config.n_intervals, []
     own = worker_pool(workers) if pool is None and workers > 1 else nullcontext(pool)
     with own as pool:
         try:
             if pool is not None:
-                references = [pool.submit(_member_reference, p, *args) for p in props]
+                references = [
+                    pool.submit(_member_reference, prop, start, n)
+                    for prop, start in orbits
+                ]
             for _ in range(config.n_iterations):
                 parareal_iteration(r, workers=workers, pool=pool)
-            if props:
+            if orbits:
                 trajectories = (
-                    [_member_reference(p, *args) for p in props] if pool is None
+                    [_member_reference(prop, start, n) for prop, start in orbits]
+                    if pool is None
                     else [future.result() for future in references]
                 )
                 r.reference = (
-                    trajectories[0] if config.members is None
-                    else np.stack(trajectories, axis=1)
+                    np.stack(trajectories, axis=1) if per_member else trajectories[0]
                 )
         finally:
             # After an error, reference tasks still queued do not run.

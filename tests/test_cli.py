@@ -944,6 +944,23 @@ class TestSpeedup:
         assert "workers=1" in out
         assert "measured ratio" in out
 
+    def test_a_slowdown_reads_as_one(self, capsys, monkeypatch):
+        # Fine-stage walls of 0.2 s at 1 worker and 0.37 s at 2.
+        def timed_run(config, workers):
+            wall = {1: 0.2, 2: 0.37}[workers]
+            timings = engine.RunTimings([wall], [0.2])
+            return engine.PararealRun(config, None, None, timings=timings)
+
+        monkeypatch.setattr(engine, "run", timed_run)
+        code = main(["speedup", "--kmax", "1", "--T", "1", "--workers", "2"])
+        assert code == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "workers=1  fine-stage wall 0.200 s  x1.00 of 1 worker  "
+            "task-sum 0.200 s  measured ratio 1.00",
+            "workers=2  fine-stage wall 0.370 s  x1.85 of 1 worker  "
+            "task-sum 0.200 s  measured ratio 0.54",
+        ]
+
     def test_as_many_iterations_as_intervals(self, capsys):
         code = main(["speedup", "--kmax", "10", "--T", "1", "--fine", "exact",
                      "--workers", "1"])

@@ -468,6 +468,20 @@ def _euler_config(system, u0, variant, macro_kind="euler", **kw):
     )
 
 
+def _quadratic_grid():
+    return _euler_config(
+        builtin_quadratic(1.0, 1e-2), [1.0, 0.0], AlgorithmVariant.LIFTING,
+        epsilons=(1e-2, 3e-3, 1e-3),
+    )
+
+
+def _toy_euler_grid():
+    return _euler_config(
+        builtin_toy(1e-2), U0, AlgorithmVariant.MATCHING, macro_kind="exact",
+        epsilons=(1e-2, 3e-3, 1e-3),
+    )
+
+
 REFERENCE_CASES = [
     pytest.param(
         lambda: _euler_config(
@@ -475,13 +489,8 @@ REFERENCE_CASES = [
         ),
         id="brusselator-plain",
     ),
-    pytest.param(
-        lambda: _euler_config(
-            builtin_quadratic(1.0, 1e-2), [1.0, 0.0], AlgorithmVariant.LIFTING,
-            epsilons=(1e-2, 3e-3, 1e-3),
-        ),
-        id="quadratic-grid",
-    ),
+    pytest.param(_quadratic_grid, id="quadratic-grid"),
+    pytest.param(_toy_euler_grid, id="toy-euler-grid"),
 ]
 
 
@@ -507,11 +516,12 @@ class TestReferenceInPool:
         assert multiprocessing.active_children() == []
 
     def test_failed_run_cancels_its_queued_reference_tasks(self, monkeypatch):
-        # On a caller's pool of one worker, the first of three reference
-        # tasks runs and two wait; slab 0 fails in this process, and the run
-        # withdraws the two before the pool, which outlives it, runs them.
+        # On a caller's pool of one worker, the first of a nonlinear grid's
+        # three reference tasks runs and two wait; slab 0 fails in this
+        # process, and the run withdraws the two before the pool, which
+        # outlives it, runs them.
         monkeypatch.setattr(engine, "_fine_slab", partial(_blown_up_slab, False))
-        config = toy_config(AlgorithmVariant.MATCHING, 2, epsilons=(1e-2, 1e-3, 1e-4))
+        config = _quadratic_grid()
         tasks = []
 
         class Spy:
@@ -523,6 +533,47 @@ class TestReferenceInPool:
             with pytest.raises(NonFiniteStateError, match="stage 2a"):
                 run(config, workers=2, pool=Spy())
             assert [t.cancelled() for t in tasks] == [False, True, True, False]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("make_config, orbits", [
+        pytest.param(
+            lambda: toy_config(
+                AlgorithmVariant.MATCHING, 2, epsilons=(1e-2, 3e-3, 1e-3)
+            ),
+            1, id="toy-exact-grid",
+        ),
+        pytest.param(_toy_euler_grid, 1, id="toy-euler-grid"),
+        pytest.param(_quadratic_grid, 3, id="quadratic-grid"),
+    ])
+    def test_a_linear_grid_steps_one_reference_orbit(
+        self, make_config, orbits, monkeypatch
+    ):
+        # A linear grid's members share one orbit of the grid propagator; a
+        # nonlinear grid's are stepped one by one, in process or as tasks.
+        calls, real = [], engine._member_reference
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(engine, "_member_reference", counted)
+        config = make_config()
+        run(config, workers=1)
+        assert len(calls) == orbits
+
+        tasks = []
+
+        class Spy:
+            def submit(self, fn, *args):
+                tasks.append(fn)
+                return pool.submit(fn, *args)
+
+        # A pool task pickles its function by name, so the tasks run the
+        # real one.
+        monkeypatch.setattr(engine, "_member_reference", real)
+        with worker_pool(2) as pool:
+            run(config, workers=2, pool=Spy())
+        assert tasks.count(real) == orbits
         assert multiprocessing.active_children() == []
 
     def test_failed_iterations_skip_the_in_process_reference(self, monkeypatch):
